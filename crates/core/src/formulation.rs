@@ -10,44 +10,46 @@
 //!
 //! # Warm starts
 //!
-//! By default the solver keeps **one persistent [`IncrementalLp`]** alive
-//! across cut rounds *and* across `solve` calls. Each cut round appends
-//! its subtour rows to the standing tableau and repairs with a few dual
-//! pivots; each IRA iteration (same node set, shrunken edge/cap sets)
-//! fixes dropped edges to zero via bound tightening and relaxes dropped
-//! caps to a vacuous right-hand side — no rebuild, no phase 1. Whenever a
-//! `solve` call is *not* a shrink of the previous one (new edges, new or
-//! changed caps, different `n`) the state is rebuilt transparently, so
-//! callers need no protocol. [`CutLp::new_cold`] restores the old
-//! rebuild-every-round behavior for comparison benchmarks; both paths
-//! produce optimal extreme points of the same polytope.
+//! The solver keeps **one persistent [`IncrementalLp`]** alive across cut
+//! rounds *and* across `solve` calls. Each cut round appends its subtour
+//! rows to the standing tableau and repairs with a few dual pivots; each
+//! IRA iteration (same node set, shrunken edge/cap sets) fixes dropped
+//! edges to zero via bound tightening and relaxes dropped caps to a
+//! vacuous right-hand side — no rebuild, no phase 1. Whenever a `solve`
+//! call is *not* a shrink of the previous one (new edges, new or changed
+//! caps, different `n`) the state is rebuilt transparently, so callers
+//! need no protocol. The rebuild-every-round solver this replaced lives on
+//! only as a unit-test reference (`reference`), the oracle the warm path
+//! is checked against.
 //!
 //! # The cut-pool separation engine
 //!
 //! Each cut round runs through a [`CutPool`] + [`SeedOracle`] pipeline
 //! (DESIGN.md §10). The pool parks every set the oracle ever separated;
 //! a round first *screens* the pool's inactive side against the current
-//! point — one dot product per cut, no maxflow — and re-activates the
-//! top-K most-violated, non-nested members. Only when the pool is clean
-//! does the expensive seeded-min-cut oracle run; its cuts are deepened by
-//! violation-maximizing local search ([`separation::strengthen`]) and its
-//! surplus findings are parked rather than discarded. The pool and the oracle's reusable
-//! scratch networks survive IRA shrink steps and constraint drops
-//! (subtour cuts stay valid on any edge subset). The pre-engine loop —
-//! one cut per round, no pool, no seed pruning — stays available behind
-//! [`SeparationConfig::single_cut`] for A/B benchmarks; both strategies
+//! point — one dot product per cut, no maxflow — and re-activates up to
+//! [`MAX_CUTS_PER_ROUND`] of its most-violated, non-nested members. Only
+//! when the pool is clean does the expensive seeded-min-cut oracle run;
+//! its cuts are deepened by violation-maximizing local search
+//! ([`separation::strengthen`]) and its surplus findings are parked rather
+//! than discarded. The pool and the oracle's reusable scratch networks
+//! survive IRA shrink steps and constraint drops (subtour cuts stay valid
+//! on any edge subset). The pre-engine loop — one cut per round, no pool,
+//! no seed pruning — is likewise a unit-test reference only; both
 //! terminate at an optimum of the same polytope.
 
 use crate::cutpool::{select_batch, CutPool};
 use crate::separation::{
-    self, CutStrategy, FracEdge, SeedOracle, SepCounters, SeparationConfig, ViolatedSet,
-    PARALLEL_SEP_THRESHOLD,
+    self, FracEdge, SeedOracle, SepCounters, ViolatedSet, PARALLEL_SEP_THRESHOLD,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
-use wsn_lp::{FaultKind, IncrementalLp, LpProblem, LpStatus, Relation, RowId, SolveCtx, VarId};
+use wsn_lp::{FaultKind, IncrementalLp, LpStatus, Relation, RowId, SolveCtx, VarId};
 use wsn_obs::{Counter, Histogram};
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 /// Safety valve on cutting-plane rounds (each round adds ≥ 1 new set, and
 /// distinct sets are finite, but numerics deserve a cap).
@@ -55,6 +57,15 @@ const MAX_CUT_ROUNDS: usize = 400;
 
 /// Violation tolerance for separation.
 const SEP_TOL: f64 = 1e-7;
+
+/// Cap on cuts activated per cut round: the top-K most-violated, mutually
+/// non-nested sets get LP rows and the rest are parked in the pool.
+pub const MAX_CUTS_PER_ROUND: usize = 64;
+
+/// Minimum violation gain a strengthening move must bring. Small margins
+/// absorb everything marginally attached and bloat the LP rows; larger
+/// margins keep only decisive moves.
+const STRENGTHEN_MARGIN: f64 = 0.25;
 
 /// One active edge of the LP.
 #[derive(Clone, Copy, Debug)]
@@ -220,23 +231,23 @@ impl CutLpMetrics {
     }
 }
 
-/// Cutting-plane state. The cut pool and the oracle's scratch networks
-/// survive across IRA iterations (subtour cuts remain valid as
-/// edges/constraints are removed), and in warm mode so does the simplex
-/// basis itself.
+/// Cutting-plane state. The cut pool, the oracle's scratch networks and
+/// the simplex basis all survive across IRA iterations (subtour cuts
+/// remain valid as edges/constraints are removed).
 #[derive(Clone, Debug)]
 pub struct CutLp {
     pool: CutPool,
-    sep: SeparationConfig,
     oracle: SeedOracle,
     counters: SepCounters,
-    warm: bool,
     state: Option<WarmState>,
     metrics: CutLpMetrics,
     /// Budget/cancellation token (and fault injector). `None` — the
     /// default — leaves every hot path byte-identical to the unbudgeted
     /// engine.
     ctx: Option<Arc<SolveCtx>>,
+    /// The solver a unit test swapped in for the engine (`reference`).
+    #[cfg(test)]
+    reference: reference::Reference,
 }
 
 impl Default for CutLp {
@@ -246,31 +257,20 @@ impl Default for CutLp {
 }
 
 impl CutLp {
-    /// Creates an empty cutting-plane state with warm starts and the
-    /// batched cut-pool engine enabled.
+    /// Creates an empty cutting-plane state: warm-started LP, batched
+    /// cut-pool separation.
     pub fn new() -> Self {
-        Self::with_config(true, SeparationConfig::default())
-    }
-
-    /// Creates a state that rebuilds the LP from scratch every round — the
-    /// pre-warm-start behavior, kept for benchmarks and equivalence tests.
-    pub fn new_cold() -> Self {
-        Self::with_config(false, SeparationConfig::default())
-    }
-
-    /// Creates a state with explicit warm-start and separation settings.
-    pub fn with_config(warm: bool, sep: SeparationConfig) -> Self {
         let obs = wsn_obs::current_or_detached();
         let reg = obs.registry();
         CutLp {
             pool: CutPool::new(),
-            sep,
             oracle: SeedOracle::new(),
             counters: SepCounters::from_registry(reg),
-            warm,
             state: None,
             metrics: CutLpMetrics::from_registry(reg),
             ctx: None,
+            #[cfg(test)]
+            reference: reference::Reference::Engine,
         }
     }
 
@@ -287,16 +287,6 @@ impl CutLp {
     /// The installed budget context, if any.
     pub fn ctx(&self) -> Option<&Arc<SolveCtx>> {
         self.ctx.as_ref()
-    }
-
-    /// Whether this instance reuses the simplex basis across solves.
-    pub fn is_warm(&self) -> bool {
-        self.warm
-    }
-
-    /// The separation settings this instance runs with.
-    pub fn separation_config(&self) -> SeparationConfig {
-        self.sep
     }
 
     /// LP solves performed by this instance.
@@ -371,14 +361,14 @@ impl CutLp {
         if n == 1 {
             return Ok(CutLpOutcome::Optimal { x: vec![], objective: 0.0 });
         }
-        if self.warm {
-            self.solve_warm(n, edges, caps)
-        } else {
-            self.solve_cold(n, edges, caps)
+        #[cfg(test)]
+        if self.reference == reference::Reference::Cold {
+            return self.solve_cold(n, edges, caps);
         }
+        self.solve_warm(n, edges, caps)
     }
 
-    // ---- separation round (shared by warm and cold paths) -------------
+    // ---- separation round ---------------------------------------------
 
     /// One separation step against the fractional point `frac`: screen the
     /// pool, then consult the oracle; activate the round's batch. Returns
@@ -405,14 +395,24 @@ impl CutLp {
                 return Err(CutLpError::Interrupted);
             }
         }
-        let k = match self.sep.strategy {
-            CutStrategy::SingleCut => 1,
-            CutStrategy::Batched => self.sep.max_cuts_per_round.max(1),
-        };
+        #[cfg(test)]
+        if let Some(result) = self.separate_reference(n, frac, round) {
+            return result;
+        }
+        self.separate_batch(n, frac, round, MAX_CUTS_PER_ROUND)
+    }
 
+    /// The engine's separation step with a batch cap of `k` cuts.
+    fn separate_batch(
+        &mut self,
+        n: usize,
+        frac: &[FracEdge],
+        round: usize,
+        k: usize,
+    ) -> Result<usize, CutLpError> {
         // Pool first: a violated parked cut costs a dot product to find,
         // the oracle costs one maxflow per seed.
-        if self.sep.use_pool && self.pool.inactive_count() > 0 {
+        if self.pool.inactive_count() > 0 {
             self.metrics.pool_scans.inc();
             let (_screened, violated) = self.pool.screen(frac, SEP_TOL);
             if !violated.is_empty() {
@@ -439,7 +439,7 @@ impl CutLp {
             frac,
             SEP_TOL,
             n >= PARALLEL_SEP_THRESHOLD,
-            self.sep.prune_seeds,
+            true,
             &self.counters,
         );
         if cands.is_empty() {
@@ -452,32 +452,25 @@ impl CutLp {
         if cands.is_empty() {
             return Err(CutLpError::StalledCut);
         }
-        if self.sep.strengthen_cuts {
-            // Deepen each cut, re-deduplicate (strengthened sets can
-            // collide), and keep only sets that still lack an LP row. The
-            // current LP point satisfies every active row, so a set with
-            // positive violation is never active — the retain guards the
-            // degenerate zero-violation corner only.
-            let mut deep: BTreeMap<Vec<usize>, f64> = BTreeMap::new();
-            for vs in cands {
-                let set = separation::strengthen(
-                    n,
-                    frac,
-                    &vs.set,
-                    self.sep.strengthen_margin.max(SEP_TOL),
-                );
-                let viol = separation::violation_sorted(frac, &set);
-                let entry = deep.entry(set).or_insert(viol);
-                *entry = entry.max(viol);
-            }
-            cands = deep
-                .into_iter()
-                .filter(|(set, _)| !self.pool.is_active(set))
-                .map(|(set, violation)| ViolatedSet { set, violation })
-                .collect();
-            if cands.is_empty() {
-                return Err(CutLpError::StalledCut);
-            }
+        // Deepen each cut, re-deduplicate (strengthened sets can collide),
+        // and keep only sets that still lack an LP row. The current LP
+        // point satisfies every active row, so a set with positive
+        // violation is never active — the filter guards the degenerate
+        // zero-violation corner only.
+        let mut deep: BTreeMap<Vec<usize>, f64> = BTreeMap::new();
+        for vs in cands {
+            let set = separation::strengthen(n, frac, &vs.set, STRENGTHEN_MARGIN);
+            let viol = separation::violation_sorted(frac, &set);
+            let entry = deep.entry(set).or_insert(viol);
+            *entry = entry.max(viol);
+        }
+        let cands: Vec<ViolatedSet> = deep
+            .into_iter()
+            .filter(|(set, _)| !self.pool.is_active(set))
+            .map(|(set, violation)| ViolatedSet { set, violation })
+            .collect();
+        if cands.is_empty() {
+            return Err(CutLpError::StalledCut);
         }
         let (picked, rest) = select_batch(cands, k);
         let added = picked.len();
@@ -485,10 +478,8 @@ impl CutLp {
             self.pool.activate(vs.set);
             self.metrics.cuts_added.inc();
         }
-        if self.sep.use_pool {
-            for vs in rest {
-                self.pool.insert_inactive(vs.set);
-            }
+        for vs in rest {
+            self.pool.insert_inactive(vs.set);
         }
         if added > 1 {
             self.metrics.cuts_batched.add(added as u64 - 1);
@@ -683,120 +674,6 @@ impl CutLp {
         }
         Err(CutLpError::CutRoundLimit)
     }
-
-    // ---- cold path (rebuilds the LP each round) -----------------------
-
-    fn solve_cold(
-        &mut self,
-        n: usize,
-        edges: &[LpEdge],
-        caps: &[(usize, f64)],
-    ) -> Result<CutLpOutcome, CutLpError> {
-        // Incident-edge index per capped node, hoisted out of the round
-        // loop: the edge set is fixed for the whole call.
-        let cap_incident: Vec<(usize, f64, Vec<usize>)> = caps
-            .iter()
-            .map(|&(node, beta)| {
-                let inc: Vec<usize> = edges
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.u == node || e.v == node)
-                    .map(|(i, _)| i)
-                    .collect();
-                (node, beta, inc)
-            })
-            .collect();
-
-        for round in 0..MAX_CUT_ROUNDS {
-            if let Some(ctx) = &self.ctx {
-                if ctx.is_cancelled() || ctx.is_expired() || ctx.round_cap_hit(round as u64) {
-                    return Err(CutLpError::Interrupted);
-                }
-            }
-            let mut lp = LpProblem::new();
-            let vars: Vec<VarId> = edges.iter().map(|e| lp.add_unit_var(e.cost)).collect();
-
-            // Eq. 14: x(E(V)) = |V| − 1.
-            let all: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
-            lp.add_constraint(&all, Relation::Eq, n as f64 - 1.0);
-
-            // Eq. 15 as degree caps: x(δ(v)) ≤ β_v.
-            for (_, beta, inc) in &cap_incident {
-                // A cap at or above the incident count is vacuous.
-                if inc.is_empty() || *beta >= inc.len() as f64 - 1e-12 {
-                    continue;
-                }
-                let incident: Vec<(VarId, f64)> = inc.iter().map(|&i| (vars[i], 1.0)).collect();
-                lp.add_constraint(&incident, Relation::Le, *beta);
-            }
-
-            // Eq. 13 for the pool's activated cuts.
-            for i in 0..self.pool.active_count() {
-                let set = self.pool.active_set(i);
-                let member = |v: usize| set.binary_search(&v).is_ok();
-                let internal: Vec<(VarId, f64)> = edges
-                    .iter()
-                    .zip(&vars)
-                    .filter(|(e, _)| member(e.u) && member(e.v))
-                    .map(|(_, &v)| (v, 1.0))
-                    .collect();
-                if internal.len() >= set.len() {
-                    lp.add_constraint(&internal, Relation::Le, set.len() as f64 - 1.0);
-                }
-            }
-
-            if let Some(ctx) = &self.ctx {
-                if ctx.poll_fault(FaultKind::PoisonCut) {
-                    // The cold path rebuilds through the validating model
-                    // builder, which rejects non-finite rows at insertion;
-                    // the injected poison therefore surfaces directly as
-                    // the sentinel's typed error.
-                    if let Some(obs) = wsn_obs::current() {
-                        obs.registry().counter("sep.fault.poison_cut").inc();
-                    }
-                    return Err(CutLpError::Lp(wsn_lp::LpError::Numerical));
-                }
-            }
-            self.metrics.lp_solves.inc();
-            self.metrics.cut_rounds.inc();
-            let lp_start = std::time::Instant::now();
-            let sol = {
-                let _span = wsn_obs::span_with("lp-solve", vec![wsn_obs::field("round", round)]);
-                wsn_lp::solve_with_ctx(&lp, self.ctx.as_deref()).map_err(lift)?
-            };
-            let lp_elapsed = lp_start.elapsed();
-            self.metrics.lp_ns.add(lp_elapsed.as_nanos() as u64);
-            self.metrics.round_lp_us.observe(lp_elapsed.as_micros() as u64);
-            self.metrics.round_pivots.observe(sol.iterations as u64);
-            self.metrics.pivots.add(sol.iterations as u64);
-            match sol.status {
-                LpStatus::Infeasible => return Ok(CutLpOutcome::Infeasible),
-                LpStatus::Unbounded => {
-                    // Box-bounded variables cannot make the model genuinely
-                    // unbounded; an unbounded verdict means the tableau data
-                    // went non-finite past what the sentinels could repair.
-                    if let Some(obs) = wsn_obs::current() {
-                        obs.registry().counter("lp.sentinel.unbounded_verdict").inc();
-                    }
-                    return Err(CutLpError::Lp(wsn_lp::LpError::Numerical));
-                }
-                LpStatus::Optimal => {}
-            }
-
-            let frac: Vec<FracEdge> =
-                edges.iter().zip(&sol.x).map(|(e, &x)| FracEdge { u: e.u, v: e.v, x }).collect();
-            let sep_start = std::time::Instant::now();
-            let added = {
-                let _span = wsn_obs::span_with("separation", vec![wsn_obs::field("round", round)]);
-                self.separate_round(n, &frac, round)?
-            };
-            self.metrics.sep_ns.add(sep_start.elapsed().as_nanos() as u64);
-            if added == 0 {
-                return Ok(CutLpOutcome::Optimal { x: sol.x, objective: sol.objective });
-            }
-        }
-        Err(CutLpError::CutRoundLimit)
-    }
 }
 
 /// Number of edges incident to `node`.
@@ -805,6 +682,7 @@ fn incident_count(edges: &[LpEdge], node: usize) -> usize {
 }
 #[cfg(test)]
 mod tests {
+    use super::reference::Reference;
     use super::*;
     use wsn_graph::{kruskal, WeightedEdge};
 
@@ -988,8 +866,7 @@ mod tests {
         let edges = k5();
         let caps_full = vec![(0usize, 2.0f64), (1, 3.0), (2, 2.0)];
         let mut warm = CutLp::new();
-        let mut cold = CutLp::new_cold();
-        assert!(warm.is_warm() && !cold.is_warm());
+        let mut cold = CutLp::reference(Reference::Cold);
         assert_warm_matches_cold(&mut warm, &mut cold, 5, &edges, &caps_full);
 
         // Drop two edges (keep connectivity) and one cap.
@@ -1018,7 +895,7 @@ mod tests {
             lpe(2, 3, 5.0, 6),
         ];
         let mut warm = CutLp::new();
-        let mut cold = CutLp::new_cold();
+        let mut cold = CutLp::reference(Reference::Cold);
         assert_warm_matches_cold(&mut warm, &mut cold, 6, &edges, &[]);
         assert!(warm.cuts_added() > 0);
         // Re-solve after dropping one triangle edge: cuts carry over and
@@ -1031,7 +908,7 @@ mod tests {
     fn warm_detects_infeasible_like_cold() {
         let edges = vec![lpe(0, 1, 1.0, 0), lpe(1, 2, 1.0, 1)];
         let mut warm = CutLp::new();
-        let mut cold = CutLp::new_cold();
+        let mut cold = CutLp::reference(Reference::Cold);
         assert_warm_matches_cold(&mut warm, &mut cold, 3, &edges, &[(1, 1.5)]);
     }
 
@@ -1120,8 +997,7 @@ mod tests {
         // parked in the pool and must come back via screening (a pool hit)
         // rather than a fresh maxflow run.
         let edges = three_triangles();
-        let sep = SeparationConfig { max_cuts_per_round: 1, ..SeparationConfig::default() };
-        let mut cut = CutLp::with_config(true, sep);
+        let mut cut = CutLp::reference(Reference::BatchCap(1));
         let CutLpOutcome::Optimal { x, .. } = cut.solve(9, &edges, &[]).unwrap() else { panic!() };
         assert_integral_tree(9, &edges, &x);
         assert!(cut.pool_scans() >= 1, "rounds after the first parked cut must screen");
@@ -1132,12 +1008,12 @@ mod tests {
 
     #[test]
     fn single_cut_baseline_agrees_with_batched() {
-        // The A/B toggle: the pre-engine loop (one cut per round, no pool,
-        // no pruning) must land on the same optimum, spending at least as
-        // many cut rounds.
+        // The pre-engine loop (one cut per round, no pool, no pruning)
+        // must land on the same optimum, spending at least as many cut
+        // rounds.
         let edges = three_triangles();
         let mut batched = CutLp::new();
-        let mut single = CutLp::with_config(true, SeparationConfig::single_cut());
+        let mut single = CutLp::reference(Reference::SingleCut);
         let CutLpOutcome::Optimal { objective: ob, x: xb } = batched.solve(9, &edges, &[]).unwrap()
         else {
             panic!()

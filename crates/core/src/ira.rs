@@ -2,7 +2,6 @@
 
 use crate::formulation::{CutLp, CutLpError, CutLpOutcome, LpEdge};
 use crate::problem::MrlcInstance;
-use crate::separation::SeparationConfig;
 use std::sync::Arc;
 use wsn_lp::SolveCtx;
 use wsn_model::{lifetime, AggregationTree, ModelError, NodeId};
@@ -24,26 +23,11 @@ pub struct IraConfig {
     /// by a little violation of lifetime" behaviour near the lifetime
     /// optimum.
     pub fallback_to_lc: bool,
-    /// Keep one warm-started LP tableau alive across cut rounds and outer
-    /// iterations (see [`CutLp`]); `false` rebuilds the LP cold every
-    /// round, for comparison runs.
-    pub warm_lp: bool,
-    /// Separation-engine settings: cut batching, pool reuse, seed pruning
-    /// (see [`SeparationConfig`]). The default runs the batched cut-pool
-    /// engine; [`SeparationConfig::single_cut`] restores the pre-engine
-    /// one-cut-per-round loop for A/B benchmarks.
-    pub separation: SeparationConfig,
 }
 
 impl Default for IraConfig {
     fn default() -> Self {
-        IraConfig {
-            constrain_sink: true,
-            batch_removal: true,
-            fallback_to_lc: true,
-            warm_lp: true,
-            separation: SeparationConfig::default(),
-        }
+        IraConfig { constrain_sink: true, batch_removal: true, fallback_to_lc: true }
     }
 }
 
@@ -144,7 +128,7 @@ pub struct IraSolution {
 
 /// Runs Algorithm 1 on an instance.
 pub fn solve_ira(inst: &MrlcInstance, config: &IraConfig) -> Result<IraSolution, IraError> {
-    solve_ira_impl(inst, config, None)
+    solve_ira_impl(inst, config, None, CutLp::new)
 }
 
 /// As [`solve_ira`], under a budget/cancellation context. Budget expiry
@@ -155,7 +139,7 @@ pub fn solve_ira_budgeted(
     config: &IraConfig,
     ctx: &Arc<SolveCtx>,
 ) -> Result<IraSolution, IraError> {
-    solve_ira_impl(inst, config, Some(ctx))
+    solve_ira_impl(inst, config, Some(ctx), CutLp::new)
 }
 
 /// Continues an interrupted solve from its checkpoint: the warm tableau,
@@ -168,13 +152,17 @@ pub fn resume_ira(
     ctx: Option<&Arc<SolveCtx>>,
 ) -> Result<IraSolution, IraError> {
     let IraCheckpoint { state, remaining } = checkpoint;
-    run_attempts(inst, config, ctx, Some(state), remaining)
+    run_attempts(inst, config, ctx, Some(state), remaining, CutLp::new)
 }
 
+/// The shared body of the fresh entry points. `new_lp` builds each
+/// attempt's cutting-plane state: [`CutLp::new`] everywhere but the unit
+/// tests, which pass the test-only reference solvers.
 fn solve_ira_impl(
     inst: &MrlcInstance,
     config: &IraConfig,
     ctx: Option<&Arc<SolveCtx>>,
+    new_lp: fn() -> CutLp,
 ) -> Result<IraSolution, IraError> {
     let net = inst.network();
     let n = net.n();
@@ -218,7 +206,7 @@ fn solve_ira_impl(
         }
     }
 
-    run_attempts(inst, config, ctx, None, attempts)
+    run_attempts(inst, config, ctx, None, attempts, new_lp)
 }
 
 /// Runs a resumed attempt (if any) and then the fresh fallback attempts
@@ -230,6 +218,7 @@ fn run_attempts(
     ctx: Option<&Arc<SolveCtx>>,
     resume: Option<AttemptState>,
     attempts: Vec<(f64, bool)>,
+    new_lp: fn() -> CutLp,
 ) -> Result<IraSolution, IraError> {
     let mut last_reason = String::new();
     let mut starts: Vec<Start> = Vec::with_capacity(attempts.len() + 1);
@@ -240,7 +229,7 @@ fn run_attempts(
 
     let mut queue = starts.into_iter();
     while let Some(start) = queue.next() {
-        match attempt(inst, config, ctx, start) {
+        match attempt(inst, config, ctx, start, new_lp) {
             Ok(sol) => return Ok(sol),
             Err(AttemptError::Infeasible(reason)) => last_reason = reason,
             Err(AttemptError::Lp(e)) => return Err(IraError::Lp(e)),
@@ -340,6 +329,7 @@ fn attempt(
     config: &IraConfig,
     ctx: Option<&Arc<SolveCtx>>,
     start: Start,
+    new_lp: fn() -> CutLp,
 ) -> Result<IraSolution, AttemptError> {
     let net = inst.network();
     let model = inst.model();
@@ -390,7 +380,7 @@ fn attempt(
                 caps,
                 w_set,
                 active: vec![true; net.num_edges()],
-                cut: CutLp::with_config(config.warm_lp, config.separation),
+                cut: new_lp(),
                 stats: IraStats { l_prime: l_used, relaxed_to_lc: relaxed, ..IraStats::default() },
             }
         }
@@ -551,6 +541,7 @@ fn attempt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::formulation::reference::Reference;
     use wsn_model::{EnergyModel, Network, NetworkBuilder};
 
     /// Builds a network where all edges to the sink are cheapest — the MST
@@ -737,7 +728,10 @@ mod tests {
         let lc = lifetime::node_lifetime(3000.0, &model, 4) * 0.999;
         let inst = MrlcInstance::new(net, model, lc).unwrap();
         let warm = solve_ira(&inst, &IraConfig::default()).unwrap();
-        let cold = solve_ira(&inst, &IraConfig { warm_lp: false, ..IraConfig::default() }).unwrap();
+        let cold = solve_ira_impl(&inst, &IraConfig::default(), None, || {
+            CutLp::reference(Reference::Cold)
+        })
+        .unwrap();
         assert_eq!(warm.meets_lc, cold.meets_lc);
         assert_eq!(warm.stats.relaxed_to_lc, cold.stats.relaxed_to_lc);
         let opt_lc = brute_opt_cost(&inst, lc).unwrap();
@@ -906,12 +900,10 @@ mod tests {
                 let lc = max_l * frac;
                 let inst = MrlcInstance::new(
                     inst0.network().clone(), *inst0.model(), lc).unwrap();
-                let engine = IraConfig::default();
-                let single = IraConfig {
-                    separation: SeparationConfig::single_cut(),
-                    ..IraConfig::default()
-                };
-                match (solve_ira(&inst, &engine), solve_ira(&inst, &single)) {
+                let single = solve_ira_impl(&inst, &IraConfig::default(), None, || {
+                    CutLp::reference(Reference::SingleCut)
+                });
+                match (solve_ira(&inst, &IraConfig::default()), single) {
                     (Ok(a), Ok(b)) => {
                         let n = inst.network().n();
                         let pa: Vec<Option<NodeId>> =

@@ -72,5 +72,4 @@ pub use resilience::{
     solve_resilient, solve_resilient_ctx, ResilienceConfig, ResilienceError, ResilientRun,
     SolveOutcome, SolveTier,
 };
-pub use separation::{CutStrategy, SeparationConfig};
 pub use verify::{verify_tree, Verification};

@@ -31,8 +31,9 @@
 //! parallel and serial paths return **identical** output (a property the
 //! proptests pin down).
 //!
-//! With pruning enabled ([`SeparationConfig::prune_seeds`]) three
-//! sound short-circuits cut the per-call min-cut count well below `n`:
+//! With pruning enabled (the `prune` argument of [`SeedOracle::separate`],
+//! which the cutting-plane loop always sets) three sound short-circuits
+//! cut the per-call min-cut count well below `n`:
 //!
 //! * **component pre-check bound** — a violated set within a support
 //!   component `C` needs `x(E(S)) > |S| − 1 ≥ 1`, and any violated set
@@ -89,67 +90,6 @@ pub struct ViolatedSet {
     pub set: Vec<usize>,
     /// `x(E(S)) − (|S| − 1) > tol`.
     pub violation: f64,
-}
-
-/// How `CutLp` turns separated sets into LP rows.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CutStrategy {
-    /// Add exactly one (most violated) cut per round — the classical
-    /// textbook loop, kept as the A/B baseline for benchmarks.
-    SingleCut,
-    /// Add the top-K most violated, non-nested cuts per round and park the
-    /// rest in the cut pool for later reactivation.
-    Batched,
-}
-
-/// Tuning knobs for the cut-pool separation engine (DESIGN.md §10).
-#[derive(Clone, Copy, Debug)]
-pub struct SeparationConfig {
-    /// Row-addition policy per cut round.
-    pub strategy: CutStrategy,
-    /// Cap on cuts activated per round under [`CutStrategy::Batched`].
-    pub max_cuts_per_round: usize,
-    /// Keep separated-but-unactivated cuts in a pool and screen the pool
-    /// against `x` (a dot-product scan, no maxflow) before calling the
-    /// oracle.
-    pub use_pool: bool,
-    /// Enable the seed-pruning short-circuits (component pre-check bound,
-    /// dense-pair shortcut, covered-seed skip).
-    pub prune_seeds: bool,
-    /// Deepen each oracle cut by violation-maximizing local search
-    /// ([`strengthen`]) before batching it.
-    pub strengthen_cuts: bool,
-    /// Minimum violation gain a strengthening move must bring. Small
-    /// margins absorb everything marginally attached and can bloat cuts;
-    /// larger margins keep only decisive moves.
-    pub strengthen_margin: f64,
-}
-
-impl Default for SeparationConfig {
-    fn default() -> Self {
-        SeparationConfig {
-            strategy: CutStrategy::Batched,
-            max_cuts_per_round: 64,
-            use_pool: true,
-            prune_seeds: true,
-            strengthen_cuts: true,
-            strengthen_margin: 0.25,
-        }
-    }
-}
-
-impl SeparationConfig {
-    /// The pre-engine baseline: one cut per round, no pool, no pruning,
-    /// no strengthening.
-    pub fn single_cut() -> Self {
-        SeparationConfig {
-            strategy: CutStrategy::SingleCut,
-            use_pool: false,
-            prune_seeds: false,
-            strengthen_cuts: false,
-            ..SeparationConfig::default()
-        }
-    }
 }
 
 /// Counter handles for the oracle. The owner (`CutLp`, or the free

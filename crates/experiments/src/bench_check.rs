@@ -1,32 +1,35 @@
-//! `bench-check` — CI gate over two `BENCH_ira.json` files.
+//! `bench-check trend` — the CI perf gate over two `BENCH_ira.json` files.
 //!
 //! Compares a freshly generated bench-perf run against the committed
-//! baseline and fails on regressions:
+//! baseline (and optionally a rolling history of prior runs), assigning a
+//! typed [`Verdict`] per tracked metric and failing on hard regressions
+//! (rules in DESIGN.md §13):
 //!
 //! - **Deterministic counters** (`lp_solves`, `pivots`, `cut_rounds` of the
-//!   warm engine path) are seeded and machine-independent, so any growth
+//!   `warm` solver block) are seeded and machine-independent, so growth
 //!   beyond 25% over the baseline is a hard failure — a real algorithmic
 //!   regression, not noise.
-//! - **Wall time** varies with the host, so it only warns — unless the
-//!   current run is over 4× the baseline, which no shared-runner jitter
-//!   explains. Cases whose baseline wall is under a few tens of
-//!   milliseconds never fail on ratio alone: scheduler jitter can exceed
-//!   4× of a ~1 ms case.
-//! - **Answer identity**: every case must report `same_tree: true`.
-//! - **Acceptance floor** (evaluated on the current file alone): every
-//!   case at n ≥ 160 whose single-cut baseline ran must show the engine
-//!   win the tentpole claims — ≥ 3× fewer cut rounds and ≥ 2× wall-clock
-//!   speedup versus the single-cut path.
-//! - **Storm rung** (schema 4): the current `storm` block's `all_typed`
-//!   and `no_leaked_workers` invariants are hard failures — a request that
-//!   hung or a worker thread that leaked is a service bug regardless of
-//!   the host. Throughput and p99 compare against the baseline storm only
-//!   when both ran the same request count (a smoke run against a full
-//!   baseline skips with a note) and warn rather than fail, like wall
-//!   time, unless the tail blows past the gross ratio.
+//! - **Wall time** (`wall_ms` and the `lp_ms` / `sep_ms` / `decode_ms`
+//!   stages) varies with the host, so it only regresses softly — unless
+//!   the current run is over 4× a baseline of at least 50 ms, which no
+//!   shared-runner jitter explains. Below that floor scheduler jitter can
+//!   alone exceed 4× of a ~1 ms case.
+//! - **Certificate**: a current case reporting `verified: false` (LC missed
+//!   on the returned tree, or an IRA guard removal) fails.
+//! - **Acceptance floor**: every current case at n ≥ 160 whose baseline
+//!   recorded a single-cut run (the `single` block of schema ≤ 4) must show
+//!   the engine win DESIGN.md §10 claims — ≥ 3× fewer cut rounds and ≥ 2×
+//!   less wall time than that recorded run.
+//! - **Storm rung**: the current `storm` block's `all_typed` and
+//!   `no_leaked_workers` invariants are hard failures — a request that hung
+//!   or a worker thread that leaked is a service bug regardless of the
+//!   host. p99 follows the wall rule; throughput has its own (hard beyond
+//!   4× slower, at any rate). Both compare only when baseline and current
+//!   ran the same request count (a smoke run against a full baseline skips
+//!   with a note).
 //!
-//! Cases present in only one file are reported but not failed, so the
-//! ladder can grow without invalidating old baselines.
+//! Cases present in only one file are noted but not failed, so the ladder
+//! can grow without invalidating old baselines.
 
 use wsn_obs::json::{parse, Json};
 
@@ -52,42 +55,6 @@ const MIN_SINGLE_SPEEDUP: f64 = 2.0;
 /// Node count from which the acceptance floor applies.
 const ACCEPTANCE_N: f64 = 160.0;
 
-/// Outcome of the comparison.
-#[derive(Clone, Debug)]
-pub struct CheckReport {
-    /// Human-readable findings, one per line.
-    pub lines: Vec<String>,
-    /// Hard failures (non-empty fails the command).
-    pub failures: Vec<String>,
-}
-
-impl CheckReport {
-    /// True when no hard failure was found.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// Renders the report, failures last.
-    pub fn render(&self) -> String {
-        let mut out = String::from("bench-check — current run vs committed baseline\n");
-        for l in &self.lines {
-            out.push_str("  ");
-            out.push_str(l);
-            out.push('\n');
-        }
-        if self.failures.is_empty() {
-            out.push_str("PASS\n");
-        } else {
-            for f in &self.failures {
-                out.push_str("FAIL: ");
-                out.push_str(f);
-                out.push('\n');
-            }
-        }
-        out
-    }
-}
-
 fn counter(case: &Json, path: &str, field: &str) -> Option<f64> {
     case.get(path)?.get(field)?.as_f64()
 }
@@ -98,158 +65,6 @@ fn case_name(case: &Json) -> &str {
 
 fn cases(doc: &Json) -> Vec<&Json> {
     doc.get("cases").and_then(Json::as_arr).map(|a| a.iter().collect()).unwrap_or_default()
-}
-
-/// Compares a current bench document against a baseline document.
-pub fn check(baseline: &Json, current: &Json) -> CheckReport {
-    let mut report = CheckReport { lines: Vec::new(), failures: Vec::new() };
-    let base_cases = cases(baseline);
-    let cur_cases = cases(current);
-    if cur_cases.is_empty() {
-        report.failures.push("current file has no cases".to_string());
-        return report;
-    }
-
-    for cur in &cur_cases {
-        let name = case_name(cur);
-        let Some(base) = base_cases.iter().find(|b| case_name(b) == name) else {
-            report.lines.push(format!("{name}: new case, no baseline (skipped)"));
-            continue;
-        };
-
-        // Deterministic warm-path counters: hard gate.
-        for field in ["lp_solves", "pivots", "cut_rounds"] {
-            match (counter(base, "warm", field), counter(cur, "warm", field)) {
-                (Some(b), Some(c)) if b > 0.0 && c > b * COUNTER_TOLERANCE => {
-                    report.failures.push(format!(
-                        "{name}: warm.{field} regressed {b:.0} -> {c:.0} \
-                         (limit {:.0})",
-                        b * COUNTER_TOLERANCE
-                    ));
-                }
-                (Some(b), Some(c)) => {
-                    report.lines.push(format!("{name}: warm.{field} {b:.0} -> {c:.0} ok"));
-                }
-                _ => {
-                    report.lines.push(format!("{name}: warm.{field} missing (skipped)"));
-                }
-            }
-        }
-
-        // Wall clock: warn-only within the gross ratio.
-        if let (Some(b), Some(c)) =
-            (counter(base, "warm", "wall_ms"), counter(cur, "warm", "wall_ms"))
-        {
-            let ratio = if b > 0.0 { c / b } else { 1.0 };
-            if ratio > WALL_GROSS_RATIO && b >= WALL_NOISE_FLOOR_MS {
-                report
-                    .failures
-                    .push(format!("{name}: warm wall {b:.1} ms -> {c:.1} ms ({ratio:.1}x)"));
-            } else if ratio > COUNTER_TOLERANCE {
-                report.lines.push(format!(
-                    "{name}: warm wall {b:.1} ms -> {c:.1} ms ({ratio:.1}x, warn only)"
-                ));
-            }
-        }
-    }
-
-    check_storm(baseline, current, &mut report);
-
-    // Answer identity and the acceptance floor — current file only.
-    for cur in &cur_cases {
-        let name = case_name(cur);
-        if cur.get("same_tree") == Some(&Json::Bool(false)) {
-            report.failures.push(format!("{name}: comparison paths decoded different trees"));
-        }
-        let n = cur.get("n").and_then(Json::as_f64).unwrap_or(0.0);
-        if n < ACCEPTANCE_N || cur.get("single").is_none_or(|s| !s.is_obj()) {
-            continue;
-        }
-        match cur.get("round_ratio").and_then(Json::as_f64) {
-            Some(r) if r >= MIN_ROUND_RATIO => {
-                report.lines.push(format!("{name}: round_ratio {r:.2} >= {MIN_ROUND_RATIO}"));
-            }
-            Some(r) => {
-                report.failures.push(format!(
-                    "{name}: round_ratio {r:.2} below acceptance floor {MIN_ROUND_RATIO}"
-                ));
-            }
-            None => report.failures.push(format!("{name}: round_ratio missing")),
-        }
-        match cur.get("single_speedup").and_then(Json::as_f64) {
-            Some(s) if s >= MIN_SINGLE_SPEEDUP => {
-                report.lines.push(format!("{name}: single_speedup {s:.2} >= {MIN_SINGLE_SPEEDUP}"));
-            }
-            Some(s) => {
-                report.failures.push(format!(
-                    "{name}: single_speedup {s:.2} below acceptance floor {MIN_SINGLE_SPEEDUP}"
-                ));
-            }
-            None => report.failures.push(format!("{name}: single_speedup missing")),
-        }
-    }
-
-    report
-}
-
-/// Gates the schema-4 service-storm rung. The invariants (`all_typed`,
-/// `no_leaked_workers`) are host-independent and fail hard; the
-/// throughput/p99 trajectory is wall-clock-like and only warns, and only
-/// compares when baseline and current ran the same number of requests.
-fn check_storm(baseline: &Json, current: &Json, report: &mut CheckReport) {
-    let Some(cur) = current.get("storm").filter(|s| s.is_obj()) else {
-        report.lines.push("storm: no storm block in current file (skipped)".to_string());
-        return;
-    };
-    for (field, what) in [
-        ("all_typed", "a request resolved without a typed outcome"),
-        ("no_leaked_workers", "the fleet leaked worker threads"),
-    ] {
-        match cur.get(field) {
-            Some(&Json::Bool(true)) => report.lines.push(format!("storm: {field} ok")),
-            _ => report.failures.push(format!("storm: {what}")),
-        }
-    }
-    let Some(base) = baseline.get("storm").filter(|s| s.is_obj()) else {
-        report.lines.push("storm: no baseline storm block (trajectory skipped)".to_string());
-        return;
-    };
-    let requests = |doc: &Json| doc.get("requests").and_then(Json::as_f64).unwrap_or(0.0);
-    if requests(base) != requests(cur) {
-        report.lines.push(format!(
-            "storm: request counts differ (baseline {:.0}, current {:.0}) — trajectory skipped",
-            requests(base),
-            requests(cur)
-        ));
-        return;
-    }
-    if let (Some(b), Some(c)) =
-        (base.get("p99_ms").and_then(Json::as_f64), cur.get("p99_ms").and_then(Json::as_f64))
-    {
-        let ratio = if b > 0.0 { c / b } else { 1.0 };
-        if ratio > WALL_GROSS_RATIO && b >= WALL_NOISE_FLOOR_MS {
-            report.failures.push(format!("storm: p99 {b:.1} ms -> {c:.1} ms ({ratio:.1}x)"));
-        } else if ratio > COUNTER_TOLERANCE {
-            report
-                .lines
-                .push(format!("storm: p99 {b:.1} ms -> {c:.1} ms ({ratio:.1}x, warn only)"));
-        }
-    }
-    if let (Some(b), Some(c)) = (
-        base.get("throughput_rps").and_then(Json::as_f64),
-        cur.get("throughput_rps").and_then(Json::as_f64),
-    ) {
-        let ratio = if c > 0.0 { b / c } else { f64::INFINITY };
-        if ratio > WALL_GROSS_RATIO {
-            report
-                .failures
-                .push(format!("storm: throughput {b:.1} -> {c:.1} req/s ({ratio:.1}x slower)"));
-        } else if ratio > COUNTER_TOLERANCE {
-            report.lines.push(format!(
-                "storm: throughput {b:.1} -> {c:.1} req/s ({ratio:.1}x slower, warn only)"
-            ));
-        }
-    }
 }
 
 /// Typed verdict `bench-check trend` assigns to one tracked metric.
@@ -365,11 +180,11 @@ fn counter_verdict(b: f64, c: f64) -> Verdict {
     }
 }
 
-/// Wall-clock verdict: host-dependent, so only a gross blowup over the
-/// noise floor is hard.
-fn wall_verdict(b: f64, c: f64) -> Verdict {
-    let ratio = if b > 0.0 { c / b } else { 1.0 };
-    if ratio > WALL_GROSS_RATIO && b >= WALL_NOISE_FLOOR_MS {
+/// Verdict on the growth ratio of a host-dependent metric (current over
+/// baseline for a time, baseline over current for a rate): only a gross
+/// blowup is hard, and only where `can_fail`.
+fn noisy_verdict(ratio: f64, can_fail: bool) -> Verdict {
+    if ratio > WALL_GROSS_RATIO && can_fail {
         Verdict::Regressed { hard: true }
     } else if ratio > COUNTER_TOLERANCE {
         Verdict::Regressed { hard: false }
@@ -377,6 +192,56 @@ fn wall_verdict(b: f64, c: f64) -> Verdict {
         Verdict::Improved
     } else {
         Verdict::Flat
+    }
+}
+
+/// Wall-clock verdict: host-dependent, so only a gross blowup over the
+/// noise floor is hard.
+fn wall_verdict(b: f64, c: f64) -> Verdict {
+    noisy_verdict(if b > 0.0 { c / b } else { 1.0 }, b >= WALL_NOISE_FLOOR_MS)
+}
+
+/// Throughput verdict. A rate regresses downward, and a collapse is hard
+/// at any rate: the wall rule's 50 ms floor guards small *times*, and
+/// applied to req/s it would let any collapse below 50 req/s pass soft.
+fn throughput_verdict(b: f64, c: f64) -> Verdict {
+    let slowdown = if c > 0.0 {
+        b / c
+    } else if b > 0.0 {
+        f64::INFINITY
+    } else {
+        1.0
+    };
+    noisy_verdict(slowdown, true)
+}
+
+/// The DESIGN.md §10 acceptance floor for one case at n ≥ 160, against the
+/// single-cut run the baseline recorded. Baselines without a `single`
+/// block (schema 5 onward) carry no floor.
+fn acceptance_floor(report: &mut TrendReport, name: &str, base: &Json, cur: &Json) {
+    let n = cur.get("n").and_then(Json::as_f64).unwrap_or(0.0);
+    if n < ACCEPTANCE_N || base.get("single").is_none_or(|s| !s.is_obj()) {
+        return;
+    }
+    for (metric, field, floor, min_current) in [
+        ("round_ratio", "cut_rounds", MIN_ROUND_RATIO, 1.0),
+        ("single_speedup", "wall_ms", MIN_SINGLE_SPEEDUP, 1e-9),
+    ] {
+        let (Some(single), Some(engine)) =
+            (counter(base, "single", field), counter(cur, "warm", field))
+        else {
+            report.failures.push(format!("{name}: {metric} missing"));
+            continue;
+        };
+        let ratio = single / engine.max(min_current);
+        let detail = format!("baseline single-cut {field} {single:.1} vs {engine:.1}");
+        if ratio >= floor {
+            report.notes.push(format!("{name}: {metric} {ratio:.2} >= {floor} ({detail})"));
+        } else {
+            report.failures.push(format!(
+                "{name}: {metric} {ratio:.2} below acceptance floor {floor} ({detail})"
+            ));
+        }
     }
 }
 
@@ -415,6 +280,11 @@ pub fn trend(baseline: &Json, current: &Json, history: &[Json]) -> TrendReport {
 
     for cur in &cur_cases {
         let name = case_name(cur);
+        if cur.get("verified") == Some(&Json::Bool(false)) {
+            report.failures.push(format!(
+                "{name}: returned tree failed verification (LC missed or IRA guard removals)"
+            ));
+        }
         let Some(base) = base_cases.iter().find(|b| case_name(b) == name) else {
             report.notes.push(format!("{name}: new case, no baseline (skipped)"));
             continue;
@@ -431,6 +301,7 @@ pub fn trend(baseline: &Json, current: &Json, history: &[Json]) -> TrendReport {
                 push(&mut report, name, format!("warm.{field}"), b, c, wall_verdict(b, c));
             }
         }
+        acceptance_floor(&mut report, name, base, cur);
     }
 
     // Storm rung: the invariants are hard regardless of the baseline; the
@@ -444,34 +315,29 @@ pub fn trend(baseline: &Json, current: &Json, history: &[Json]) -> TrendReport {
                 report.failures.push(format!("storm: {what}"));
             }
         }
-        let base_storm = baseline.get("storm").filter(|s| s.is_obj());
-        let comparable = base_storm.is_some_and(|b| {
-            b.get("requests").and_then(Json::as_f64) == cur.get("requests").and_then(Json::as_f64)
-        });
-        if let Some(base) = base_storm.filter(|_| comparable) {
-            if let (Some(b), Some(c)) = (
-                base.get("p99_ms").and_then(Json::as_f64),
-                cur.get("p99_ms").and_then(Json::as_f64),
-            ) {
-                push(&mut report, "storm", "p99_ms".to_string(), b, c, wall_verdict(b, c));
+        let requests = |doc: &Json| doc.get("requests").and_then(Json::as_f64).unwrap_or(0.0);
+        match baseline.get("storm").filter(|s| s.is_obj()) {
+            None => report.notes.push("storm: no baseline storm block (trajectory skipped)".into()),
+            Some(base) if requests(base) != requests(cur) => report.notes.push(format!(
+                "storm: request counts differ (baseline {:.0}, current {:.0}) — trajectory skipped",
+                requests(base),
+                requests(cur)
+            )),
+            Some(base) => {
+                let field = |doc: &Json, key: &str| doc.get(key).and_then(Json::as_f64);
+                if let (Some(b), Some(c)) = (field(base, "p99_ms"), field(cur, "p99_ms")) {
+                    push(&mut report, "storm", "p99_ms".to_string(), b, c, wall_verdict(b, c));
+                }
+                if let (Some(b), Some(c)) =
+                    (field(base, "throughput_rps"), field(cur, "throughput_rps"))
+                {
+                    let v = throughput_verdict(b, c);
+                    push(&mut report, "storm", "throughput_rps".to_string(), b, c, v);
+                }
             }
-            if let (Some(b), Some(c)) = (
-                base.get("throughput_rps").and_then(Json::as_f64),
-                cur.get("throughput_rps").and_then(Json::as_f64),
-            ) {
-                // Throughput regresses downward; invert for the verdict.
-                push(
-                    &mut report,
-                    "storm",
-                    "throughput_rps".to_string(),
-                    b,
-                    c,
-                    wall_verdict(c.max(1e-9), b),
-                );
-            }
-        } else {
-            report.notes.push("storm: baseline not comparable (trajectory skipped)".to_string());
         }
+    } else {
+        report.notes.push("storm: no storm block in current file (skipped)".to_string());
     }
 
     // Rolling history: compare deterministic counters against the median
@@ -554,18 +420,6 @@ pub fn run_trend(
     Ok((report.render(), report.passed()))
 }
 
-/// Reads both files, runs the comparison, and returns the rendered report
-/// plus the pass verdict.
-pub fn run(baseline_path: &str, current_path: &str) -> Result<(String, bool), String> {
-    let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"));
-    let baseline =
-        parse(&read(baseline_path)?).map_err(|e| format!("{baseline_path}: invalid JSON: {e}"))?;
-    let current =
-        parse(&read(current_path)?).map_err(|e| format!("{current_path}: invalid JSON: {e}"))?;
-    let report = check(&baseline, &current);
-    Ok((report.render(), report.passed()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,14 +437,19 @@ mod tests {
         format!(
             "{{\"name\": \"{name}\", \"n\": {n}, \"m\": 100, \
              \"warm\": {{\"wall_ms\": {wall}, \"lp_solves\": {solves}, \"pivots\": {pivots}, \
-             \"cut_rounds\": {rounds}}}, \"same_tree\": true{extra}}}"
+             \"cut_rounds\": {rounds}}}, \"verified\": true{extra}}}"
         )
+    }
+
+    /// The verdict `trend` assigned to `metric`.
+    fn verdict(report: &TrendReport, metric: &str) -> Verdict {
+        report.lines.iter().find(|l| l.metric == metric).map(|l| l.verdict).unwrap()
     }
 
     #[test]
     fn identical_runs_pass() {
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), ""));
-        let report = check(&b, &b);
+        let report = trend(&b, &b, &[]);
         assert!(report.passed(), "{:?}", report.failures);
     }
 
@@ -598,27 +457,30 @@ mod tests {
     fn counter_regression_fails() {
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), ""));
         let c = doc(&case("rand-20", 20, (5, 200, 6, 10.0), ""));
-        let report = check(&b, &c);
+        let report = trend(&b, &c, &[]);
         assert!(!report.passed());
         assert!(report.failures[0].contains("pivots"), "{:?}", report.failures);
     }
 
     #[test]
     fn counter_growth_within_tolerance_passes() {
+        // +20% on every counter: soft, inside the 25% hard wall.
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), ""));
         let c = doc(&case("rand-20", 20, (6, 120, 7, 10.0), ""));
-        assert!(check(&b, &c).passed());
+        let report = trend(&b, &c, &[]);
+        assert!(report.passed(), "{:?}", report.failures);
+        assert_eq!(verdict(&report, "warm.pivots"), Verdict::Regressed { hard: false });
     }
 
     #[test]
     fn wall_clock_noise_warns_but_gross_blowup_fails() {
         let b = doc(&case("rand-80", 80, (5, 100, 6, 100.0), ""));
         let noisy = doc(&case("rand-80", 80, (5, 100, 6, 250.0), ""));
-        let report = check(&b, &noisy);
+        let report = trend(&b, &noisy, &[]);
         assert!(report.passed(), "2.5x wall is runner noise: {:?}", report.failures);
-        assert!(report.lines.iter().any(|l| l.contains("warn only")));
+        assert_eq!(verdict(&report, "warm.wall_ms"), Verdict::Regressed { hard: false });
         let gross = doc(&case("rand-80", 80, (5, 100, 6, 1000.0), ""));
-        assert!(!check(&b, &gross).passed(), "10x wall cannot be noise");
+        assert!(!trend(&b, &gross, &[]).passed(), "10x wall cannot be noise");
     }
 
     #[test]
@@ -627,9 +489,9 @@ mod tests {
         // the noise floor the gross ratio downgrades to a warning.
         let b = doc(&case("dfl-16", 16, (2, 83, 2, 1.0), ""));
         let jittery = doc(&case("dfl-16", 16, (2, 83, 2, 9.0), ""));
-        let report = check(&b, &jittery);
+        let report = trend(&b, &jittery, &[]);
         assert!(report.passed(), "{:?}", report.failures);
-        assert!(report.lines.iter().any(|l| l.contains("warn only")));
+        assert_eq!(verdict(&report, "warm.wall_ms"), Verdict::Regressed { hard: false });
     }
 
     #[test]
@@ -640,43 +502,54 @@ mod tests {
             case("rand-20", 20, (5, 100, 6, 10.0), ""),
             case("rand-40", 40, (9, 400, 12, 40.0), "")
         ));
-        let report = check(&b, &c);
+        let report = trend(&b, &c, &[]);
         assert!(report.passed(), "{:?}", report.failures);
-        assert!(report.lines.iter().any(|l| l.contains("no baseline")));
+        assert!(report.notes.iter().any(|l| l.contains("no baseline")));
     }
 
     #[test]
     fn acceptance_floor_applies_from_160() {
-        let good = ", \"single\": {\"wall_ms\": 99.0, \"cut_rounds\": 60}, \
-                    \"round_ratio\": 5.00, \"single_speedup\": 3.10";
+        // The floor reads the single-cut side from the baseline's recorded
+        // `single` block: 60 vs 12 rounds and 99 vs 30 ms clear 3x and 2x.
+        let good = ", \"single\": {\"wall_ms\": 99.0, \"cut_rounds\": 60}";
         let b = doc(&case("rand-160", 160, (5, 100, 12, 30.0), good));
-        assert!(check(&b, &b).passed());
+        let report = trend(&b, &doc(&case("rand-160", 160, (5, 100, 12, 30.0), "")), &[]);
+        assert!(report.passed(), "{:?}", report.failures);
+        assert!(report.notes.iter().any(|n| n.contains("round_ratio 5.00")), "{report:?}");
 
-        let weak = ", \"single\": {\"wall_ms\": 33.0, \"cut_rounds\": 14}, \
-                    \"round_ratio\": 1.17, \"single_speedup\": 1.10";
-        let c = doc(&case("rand-160", 160, (5, 100, 12, 30.0), weak));
-        let report = check(&b, &c);
+        let weak = ", \"single\": {\"wall_ms\": 33.0, \"cut_rounds\": 14}";
+        let b = doc(&case("rand-160", 160, (5, 100, 12, 30.0), weak));
+        let c = doc(&case("rand-160", 160, (5, 100, 12, 30.0), ""));
+        let report = trend(&b, &c, &[]);
         assert!(!report.passed());
         assert!(report.failures.iter().any(|f| f.contains("round_ratio")));
         assert!(report.failures.iter().any(|f| f.contains("single_speedup")));
+
+        // The committed baseline recorded single-cut at rand-160 (219
+        // rounds, 37.2 s) next to the engine (51 rounds, 8.7 s).
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ira.json");
+        let committed = parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let report = trend(&committed, &committed, &[]);
+        assert!(report.passed(), "{:?}", report.failures);
+        assert!(report.notes.iter().any(|n| n.starts_with("rand-160: round_ratio 4.29")));
+        assert!(report.notes.iter().any(|n| n.starts_with("rand-160: single_speedup 4.27")));
     }
 
     #[test]
     fn small_cases_are_exempt_from_the_floor() {
-        let weak = ", \"single\": {\"wall_ms\": 10.0, \"cut_rounds\": 6}, \
-                    \"round_ratio\": 1.00, \"single_speedup\": 1.00";
+        let weak = ", \"single\": {\"wall_ms\": 10.0, \"cut_rounds\": 6}";
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), weak));
-        assert!(check(&b, &b).passed(), "n = 20 has no acceptance floor");
+        assert!(trend(&b, &b, &[]).passed(), "n = 20 has no acceptance floor");
     }
 
     #[test]
-    fn tree_mismatch_fails() {
+    fn unverified_tree_fails() {
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), ""));
         let bad = case("rand-20", 20, (5, 100, 6, 10.0), "")
-            .replace("\"same_tree\": true", "\"same_tree\": false");
-        let report = check(&b, &doc(&bad));
+            .replace("\"verified\": true", "\"verified\": false");
+        let report = trend(&b, &doc(&bad), &[]);
         assert!(!report.passed());
-        assert!(report.failures[0].contains("different trees"));
+        assert!(report.failures[0].contains("failed verification"));
     }
 
     fn doc_with_storm(cases: &str, storm: &str) -> Json {
@@ -701,15 +574,15 @@ mod tests {
     fn storm_invariants_fail_hard() {
         let c = case("rand-20", 20, (5, 100, 6, 10.0), "");
         let good = doc_with_storm(&c, &storm(1000, 100.0, 50.0, true, true));
-        assert!(check(&good, &good).passed());
+        assert!(trend(&good, &good, &[]).passed());
 
         let hung = doc_with_storm(&c, &storm(1000, 100.0, 50.0, false, true));
-        let report = check(&good, &hung);
+        let report = trend(&good, &hung, &[]);
         assert!(!report.passed());
         assert!(report.failures.iter().any(|f| f.contains("typed outcome")), "{report:?}");
 
         let leaky = doc_with_storm(&c, &storm(1000, 100.0, 50.0, true, false));
-        assert!(check(&good, &leaky).failures.iter().any(|f| f.contains("leaked")));
+        assert!(trend(&good, &leaky, &[]).failures.iter().any(|f| f.contains("leaked")));
     }
 
     #[test]
@@ -717,14 +590,35 @@ mod tests {
         let c = case("rand-20", 20, (5, 100, 6, 10.0), "");
         let b = doc_with_storm(&c, &storm(1000, 100.0, 50.0, true, true));
         let noisy = doc_with_storm(&c, &storm(1000, 250.0, 30.0, true, true));
-        let report = check(&b, &noisy);
+        let report = trend(&b, &noisy, &[]);
         assert!(report.passed(), "2.5x p99 is runner noise: {:?}", report.failures);
-        assert!(report.lines.iter().any(|l| l.contains("p99") && l.contains("warn only")));
+        assert_eq!(verdict(&report, "p99_ms"), Verdict::Regressed { hard: false });
         let gross = doc_with_storm(&c, &storm(1000, 1000.0, 5.0, true, true));
-        let report = check(&b, &gross);
+        let report = trend(&b, &gross, &[]);
         assert!(!report.passed(), "10x p99 and throughput collapse cannot be noise");
         assert!(report.failures.iter().any(|f| f.contains("p99")));
         assert!(report.failures.iter().any(|f| f.contains("throughput")));
+    }
+
+    #[test]
+    fn throughput_collapse_fails_hard_at_any_rate() {
+        // The committed storm's 36 req/s falling to 5 at the same request
+        // count: 7.2x slower is a hard failure although both rates sit
+        // below the 50-unit wall floor.
+        let c = case("rand-20", 20, (5, 100, 6, 10.0), "");
+        let b = doc_with_storm(&c, &storm(1000, 100.0, 36.0, true, true));
+        let slow = doc_with_storm(&c, &storm(1000, 100.0, 5.0, true, true));
+        let report = trend(&b, &slow, &[]);
+        assert!(!report.passed());
+        assert_eq!(verdict(&report, "throughput_rps"), Verdict::Regressed { hard: true });
+        // A 2x dip stays soft, a gain reads as an improvement.
+        let dip = doc_with_storm(&c, &storm(1000, 100.0, 18.0, true, true));
+        assert_eq!(
+            verdict(&trend(&b, &dip, &[]), "throughput_rps"),
+            Verdict::Regressed { hard: false }
+        );
+        let fast = doc_with_storm(&c, &storm(1000, 100.0, 72.0, true, true));
+        assert_eq!(verdict(&trend(&b, &fast, &[]), "throughput_rps"), Verdict::Improved);
     }
 
     #[test]
@@ -734,25 +628,25 @@ mod tests {
         // trajectory comparison is skipped.
         let b = doc_with_storm(&c, &storm(1000, 100.0, 50.0, true, true));
         let smoke = doc_with_storm(&c, &storm(150, 5000.0, 1.0, true, true));
-        let report = check(&b, &smoke);
+        let report = trend(&b, &smoke, &[]);
         assert!(report.passed(), "{:?}", report.failures);
-        assert!(report.lines.iter().any(|l| l.contains("request counts differ")));
+        assert!(report.notes.iter().any(|l| l.contains("request counts differ")));
     }
 
     #[test]
     fn v3_files_without_storm_blocks_still_check() {
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), ""));
-        let report = check(&b, &b);
+        let report = trend(&b, &b, &[]);
         assert!(report.passed(), "{:?}", report.failures);
-        assert!(report.lines.iter().any(|l| l.contains("no storm block")));
+        assert!(report.notes.iter().any(|l| l.contains("no storm block")));
         // v3 baseline, v4 current: the invariants gate on the current file.
         let c = doc_with_storm(
             &case("rand-20", 20, (5, 100, 6, 10.0), ""),
             &storm(150, 100.0, 10.0, true, true),
         );
-        let report = check(&b, &c);
+        let report = trend(&b, &c, &[]);
         assert!(report.passed(), "{:?}", report.failures);
-        assert!(report.lines.iter().any(|l| l.contains("no baseline storm")));
+        assert!(report.notes.iter().any(|l| l.contains("no baseline storm")));
     }
 
     /// A case with the per-stage wall breakdown the trend tracks.
@@ -762,7 +656,7 @@ mod tests {
             "{{\"name\": \"{name}\", \"n\": 80, \"m\": 100, \
              \"warm\": {{\"wall_ms\": {wall}, \"lp_solves\": {solves}, \"pivots\": {pivots}, \
              \"cut_rounds\": {rounds}, \"lp_ms\": {lp}, \"sep_ms\": {sep}, \
-             \"decode_ms\": {dec}}}, \"same_tree\": true}}"
+             \"decode_ms\": {dec}}}, \"verified\": true}}"
         )
     }
 
@@ -784,13 +678,10 @@ mod tests {
         let c = doc(&staged_case("rand-80", (5, 1000, 6, 500.0), 450.0, 30.0, 2.0));
         let report = trend(&b, &c, &[]);
         assert!(!report.passed());
-        let verdict = |metric: &str| {
-            report.lines.iter().find(|l| l.metric == metric).map(|l| l.verdict).unwrap()
-        };
-        assert_eq!(verdict("warm.pivots"), Verdict::Regressed { hard: true });
-        assert_eq!(verdict("warm.lp_ms"), Verdict::Regressed { hard: true });
-        assert_eq!(verdict("warm.decode_ms"), Verdict::Improved);
-        assert_eq!(verdict("warm.sep_ms"), Verdict::Flat);
+        assert_eq!(verdict(&report, "warm.pivots"), Verdict::Regressed { hard: true });
+        assert_eq!(verdict(&report, "warm.lp_ms"), Verdict::Regressed { hard: true });
+        assert_eq!(verdict(&report, "warm.decode_ms"), Verdict::Improved);
+        assert_eq!(verdict(&report, "warm.sep_ms"), Verdict::Flat);
         assert!(report.failures.iter().any(|f| f.contains("warm.pivots")), "{report:?}");
         let text = report.render();
         assert!(text.contains("REGRESSED"), "{text}");
@@ -803,8 +694,7 @@ mod tests {
         let noisy = doc(&staged_case("rand-80", (5, 100, 6, 250.0), 60.0, 30.0, 5.0));
         let report = trend(&b, &noisy, &[]);
         assert!(report.passed(), "2.5x wall is runner noise: {:?}", report.failures);
-        let wall = report.lines.iter().find(|l| l.metric == "warm.wall_ms").unwrap();
-        assert_eq!(wall.verdict, Verdict::Regressed { hard: false });
+        assert_eq!(verdict(&report, "warm.wall_ms"), Verdict::Regressed { hard: false });
     }
 
     #[test]
@@ -816,8 +706,7 @@ mod tests {
         let gross = doc_with_storm(&c, &storm(1000, 1000.0, 50.0, true, true));
         let report = trend(&b, &gross, &[]);
         assert!(!report.passed());
-        let p99 = report.lines.iter().find(|l| l.metric == "p99_ms").unwrap();
-        assert_eq!(p99.verdict, Verdict::Regressed { hard: true });
+        assert_eq!(verdict(&report, "p99_ms"), Verdict::Regressed { hard: true });
     }
 
     #[test]
@@ -869,6 +758,6 @@ mod tests {
         let cur_extra = ", \"single\": {\"wall_ms\": 30.0, \"cut_rounds\": 18}, \
                         \"round_ratio\": 3.00, \"single_speedup\": 3.00";
         let c = doc(&case("rand-20", 20, (5, 100, 6, 10.0), cur_extra));
-        assert!(check(&b, &c).passed());
+        assert!(trend(&b, &c, &[]).passed());
     }
 }

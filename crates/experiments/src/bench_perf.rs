@@ -3,57 +3,43 @@
 //! Runs IRA on a fixed, seeded scaling ladder (the DFL-16 testbed topology
 //! plus random graphs at n ∈ {20, 40, 80, 160, 320}) and records wall
 //! time, LP solves, simplex pivots, cutting-plane rounds, separation time
-//! and the cut-pool engine's counters per case — for the warm-started
-//! batched engine and, where tractable, two comparison paths: the cold
-//! rebuild-every-round solver and the single-cut-per-round separation
-//! baseline (`SeparationConfig::single_cut`). The JSON file is the
+//! and the cut-pool engine's counters per case. The JSON file is the
 //! machine-readable perf trajectory CI and humans diff across commits
-//! (see `bench-check`); the rendered table is the human-readable snapshot.
+//! (see `bench-check trend`); the rendered table is the human-readable
+//! snapshot.
 //!
-//! Every comparison path must decode the **same tree** as the engine path
-//! (distinct seeded costs ⇒ unique LP optimum); `same_tree` records that
-//! check per case so a perf win can never silently change answers.
+//! Rungs at n ≥ 160 run only here, so every case carries its own
+//! certificate: `verified` records that `verify_tree` finds the lifetime
+//! bound met on the returned tree and that IRA never fired its Theorem-2
+//! guard, so a perf win can never silently cost the guarantee.
 //!
 //! The vendored `serde` stub has no real serialization, so the JSON is
 //! hand-rolled — the schema is documented in DESIGN.md §8.
 
 use crate::table::{f, Table};
-use mrlc_core::{solve_ira, IraConfig, MrlcInstance, SeparationConfig};
+use mrlc_core::{solve_ira, verify_tree, IraConfig, MrlcInstance};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-use wsn_model::{lifetime, EnergyModel, NodeId};
+use wsn_model::{lifetime, EnergyModel};
 use wsn_radio::LinkModel;
 use wsn_testbed::{dfl_network, random_graph, DflConfig, RandomGraphConfig};
 
 /// Suite parameters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Config {
     /// Smoke mode: DFL-16 plus the n = 20 rung only (CI-speed).
     pub smoke: bool,
-    /// Run the cold comparison up to this node count (the cold path's
-    /// dense rebuilds grow fast; beyond this only warm numbers are
-    /// recorded and `cold` is `null` in the JSON).
-    pub cold_up_to: usize,
-    /// Run the single-cut separation baseline up to this node count (one
-    /// cut round per violated set makes it the slowest path at scale).
-    pub single_up_to: usize,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config { smoke: false, cold_up_to: 80, single_up_to: 160 }
-    }
 }
 
 impl Config {
     /// The CI preset.
     pub fn smoke() -> Self {
-        Config { smoke: true, ..Config::default() }
+        Config { smoke: true }
     }
 }
 
-/// Counters for one solver path on one case.
+/// Solver counters for one case.
 #[derive(Clone, Copy, Debug)]
 pub struct PathStats {
     /// End-to-end IRA wall time, milliseconds.
@@ -83,26 +69,6 @@ pub struct PathStats {
     pub seeds_pruned: usize,
 }
 
-/// The solution fingerprint used to prove paths agree: parent vector plus
-/// the paper's two tree metrics.
-#[derive(Clone, Debug, PartialEq)]
-struct TreeSig {
-    parents: Vec<Option<usize>>,
-    reliability: f64,
-    lifetime: f64,
-}
-
-impl TreeSig {
-    fn matches(&self, other: &TreeSig) -> bool {
-        self.parents == other.parents && self.metrics_match(other)
-    }
-
-    fn metrics_match(&self, other: &TreeSig) -> bool {
-        (self.reliability - other.reliability).abs() < 1e-9
-            && (self.lifetime - other.lifetime).abs() < 1e-9
-    }
-}
-
 /// One rung of the ladder.
 #[derive(Clone, Debug)]
 pub struct CaseResult {
@@ -112,49 +78,29 @@ pub struct CaseResult {
     pub n: usize,
     /// Edge count.
     pub m: usize,
-    /// Warm-started batched-engine counters (the production path).
+    /// Solver counters, serialized as `warm` (the key every schema
+    /// version uses).
     pub warm: PathStats,
-    /// Cold rebuild-every-round counters (skipped above `cold_up_to`).
-    pub cold: Option<PathStats>,
-    /// Single-cut separation baseline (skipped above `single_up_to`).
-    pub single: Option<PathStats>,
-    /// True when every comparison path that ran agreed with the engine
-    /// path: identical Q(T)/L(T) everywhere, and identical parent vectors
-    /// for the single-cut baseline (which shares the warm tableau).
-    pub same_tree: bool,
+    /// True when the returned tree meets the lifetime bound under
+    /// `verify_tree` and IRA made no guard removals.
+    pub verified: bool,
 }
 
-impl CaseResult {
-    /// Cold/warm wall-time ratio, when both ran.
-    pub fn speedup(&self) -> Option<f64> {
-        self.cold.map(|c| c.wall_ms / self.warm.wall_ms.max(1e-9))
-    }
-
-    /// Single-cut/engine wall-time ratio, when the baseline ran.
-    pub fn single_speedup(&self) -> Option<f64> {
-        self.single.map(|s| s.wall_ms / self.warm.wall_ms.max(1e-9))
-    }
-
-    /// Single-cut/engine cut-round ratio — the batching win, when the
-    /// baseline ran.
-    pub fn round_ratio(&self) -> Option<f64> {
-        self.single.map(|s| s.cut_rounds as f64 / self.warm.cut_rounds.max(1) as f64)
-    }
-}
-
-fn run_path(inst: &MrlcInstance, warm: bool, sep: SeparationConfig) -> (PathStats, TreeSig) {
-    // A private metrics-only registry per path run: the per-stage
-    // breakdown comes from the same counters the whole pipeline publishes,
-    // with no figure-style hand-threading of timings.
+fn run_case(name: &str, net: wsn_model::Network, lc: f64) -> CaseResult {
+    let n = net.n();
+    let m = net.num_edges();
+    let inst = MrlcInstance::new(net, EnergyModel::PAPER, lc).expect("valid instance");
+    // A private metrics-only registry per case: the per-stage breakdown
+    // comes from the same counters the whole pipeline publishes, with no
+    // figure-style hand-threading of timings.
     let obs = wsn_obs::Obs::detached();
     let _ambient = wsn_obs::install(obs.clone());
-    let cfg = IraConfig { warm_lp: warm, separation: sep, ..IraConfig::default() };
     let start = Instant::now();
-    let sol = solve_ira(inst, &cfg).expect("bench instance solves");
+    let sol = solve_ira(&inst, &IraConfig::default()).expect("bench instance solves");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let reg = obs.registry();
     let ns_to_ms = |name: &str| reg.counter(name).get() as f64 / 1e6;
-    let stats = PathStats {
+    let warm = PathStats {
         wall_ms,
         lp_solves: sol.stats.lp_solves,
         pivots: sol.stats.pivots,
@@ -168,43 +114,8 @@ fn run_path(inst: &MrlcInstance, warm: bool, sep: SeparationConfig) -> (PathStat
         cuts_batched: sol.stats.cuts_batched,
         seeds_pruned: sol.stats.seeds_pruned,
     };
-    let n = inst.network().n();
-    let sig = TreeSig {
-        parents: (0..n).map(|v| sol.tree.parent(NodeId::new(v)).map(|p| p.index())).collect(),
-        reliability: sol.reliability,
-        lifetime: sol.lifetime,
-    };
-    (stats, sig)
-}
-
-fn run_case(
-    name: &str,
-    net: wsn_model::Network,
-    lc: f64,
-    with_cold: bool,
-    with_single: bool,
-) -> CaseResult {
-    let n = net.n();
-    let m = net.num_edges();
-    let inst = MrlcInstance::new(net, EnergyModel::PAPER, lc).expect("valid instance");
-    let (warm, warm_sig) = run_path(&inst, true, SeparationConfig::default());
-    let mut same_tree = true;
-    let cold = with_cold.then(|| {
-        let (stats, sig) = run_path(&inst, false, SeparationConfig::default());
-        // Warm and cold tableaus may break exact cost ties differently on
-        // quantized instances (DFL-16 has duplicate PRRs), so the cold
-        // comparison is held to metric equality; the single-cut baseline
-        // below shares the warm tableau and must reproduce the tree
-        // exactly.
-        same_tree &= sig.metrics_match(&warm_sig);
-        stats
-    });
-    let single = with_single.then(|| {
-        let (stats, sig) = run_path(&inst, true, SeparationConfig::single_cut());
-        same_tree &= sig.matches(&warm_sig);
-        stats
-    });
-    CaseResult { name: name.to_string(), n, m, warm, cold, single, same_tree }
+    let verified = verify_tree(&inst, &sol.tree).meets_lc && sol.stats.guard_removals == 0;
+    CaseResult { name: name.to_string(), n, m, warm, verified }
 }
 
 /// Everything one bench-perf invocation measures: the solver ladder plus
@@ -237,7 +148,7 @@ pub fn run_cases(config: &Config) -> Vec<CaseResult> {
     let mut cases = Vec::new();
     let dfl =
         dfl_network(&DflConfig::default(), &LinkModel::default(), 2015).expect("DFL is connected");
-    cases.push(run_case("dfl-16", dfl, lc, true, true));
+    cases.push(run_case("dfl-16", dfl, lc));
 
     let rungs: &[usize] = if config.smoke { &[20] } else { &[20, 40, 80, 160, 320] };
     for &n in rungs {
@@ -251,13 +162,7 @@ pub fn run_cases(config: &Config) -> Vec<CaseResult> {
         let gcfg = RandomGraphConfig { n, link_probability: p, ..RandomGraphConfig::default() };
         let mut rng = StdRng::seed_from_u64(4242 + n as u64);
         let net = random_graph(&gcfg, &mut rng).expect("connected bench instance");
-        cases.push(run_case(
-            &format!("rand-{n}"),
-            net,
-            lc,
-            n <= config.cold_up_to,
-            n <= config.single_up_to,
-        ));
+        cases.push(run_case(&format!("rand-{n}"), net, lc));
     }
     cases
 }
@@ -282,38 +187,25 @@ fn json_path(p: &PathStats) -> String {
     )
 }
 
-fn json_ratio(r: Option<f64>) -> String {
-    r.map_or("null".to_string(), |s| format!("{s:.2}"))
-}
-
 /// Serializes the results to the `BENCH_ira.json` schema (DESIGN.md §8).
 ///
-/// Schema version 4 adds the `storm` block — the solve-service fleet's
-/// throughput/p99 rung (see `serve_storm`) with its `all_typed` /
-/// `no_leaked_workers` invariants. Version 3 added the cut-pool engine
-/// counters (`pool_hits`, `pool_scans`, `cuts_batched`, `seeds_pruned`)
-/// per path, the `single` baseline block with its `single_speedup` /
-/// `round_ratio` comparisons, and the `same_tree` answer-identity check;
-/// every older field is kept so existing diff tooling keeps working.
+/// Schema version 5 keeps one solver block per case (`warm`) plus the
+/// `verified` certificate; version 4's `cold`/`single` comparison blocks,
+/// their ratios and `same_tree` are gone with the comparison paths. The
+/// `storm` block (the solve-service fleet's throughput/p99 rung, see
+/// `serve_storm`) is unchanged since version 4.
 pub fn to_json(results: &BenchResults, smoke: bool) -> String {
     let cases = &results.cases;
-    let mut out = String::from("{\n  \"suite\": \"bench-perf\",\n  \"schema_version\": 4,\n");
+    let mut out = String::from("{\n  \"suite\": \"bench-perf\",\n  \"schema_version\": 5,\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n  \"cases\": [\n"));
     for (i, c) in cases.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"m\": {}, \"warm\": {}, \"cold\": {}, \
-             \"single\": {}, \"speedup\": {}, \"single_speedup\": {}, \"round_ratio\": {}, \
-             \"same_tree\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"n\": {}, \"m\": {}, \"warm\": {}, \"verified\": {}}}{}\n",
             c.name,
             c.n,
             c.m,
             json_path(&c.warm),
-            c.cold.as_ref().map_or("null".to_string(), json_path),
-            c.single.as_ref().map_or("null".to_string(), json_path),
-            json_ratio(c.speedup()),
-            json_ratio(c.single_speedup()),
-            json_ratio(c.round_ratio()),
-            c.same_tree,
+            c.verified,
             if i + 1 < cases.len() { "," } else { "" },
         ));
     }
@@ -333,16 +225,15 @@ pub fn render_cases(cases: &[CaseResult]) -> String {
         "case",
         "n",
         "m",
-        "warm ms",
-        "cold ms",
-        "1-cut ms",
-        "vs 1-cut",
+        "wall ms",
+        "lp ms",
+        "sep ms",
         "rounds",
-        "1-cut rnds",
+        "pivots",
         "pool hits",
         "batched",
         "pruned",
-        "same tree",
+        "verified",
     ]);
     for c in cases {
         t.push([
@@ -350,15 +241,14 @@ pub fn render_cases(cases: &[CaseResult]) -> String {
             c.n.to_string(),
             c.m.to_string(),
             f(c.warm.wall_ms, 1),
-            c.cold.map_or("-".into(), |p| f(p.wall_ms, 1)),
-            c.single.map_or("-".into(), |p| f(p.wall_ms, 1)),
-            c.single_speedup().map_or("-".into(), |s| format!("{s:.2}x")),
+            f(c.warm.lp_ms, 1),
+            f(c.warm.sep_ms, 1),
             c.warm.cut_rounds.to_string(),
-            c.single.map_or("-".into(), |p| p.cut_rounds.to_string()),
+            c.warm.pivots.to_string(),
             c.warm.pool_hits.to_string(),
             c.warm.cuts_batched.to_string(),
             c.warm.seeds_pruned.to_string(),
-            if c.same_tree { "yes".into() } else { "NO".into() },
+            if c.verified { "yes".into() } else { "NO".into() },
         ]);
     }
     format!("bench-perf — IRA solver trajectory (warm LP + cut-pool engine)\n{}", t.render())
@@ -382,12 +272,7 @@ mod tests {
             assert!(c.warm.pivots > 0);
             assert!(c.warm.lp_ms > 0.0, "registry-backed LP stage timing is populated");
             assert!(c.warm.lp_ms <= c.warm.wall_ms, "a stage cannot exceed the whole");
-            assert!(c.cold.is_some(), "smoke rungs are all below cold_up_to");
-            assert!(c.single.is_some(), "smoke rungs are all below single_up_to");
-            assert!(c.same_tree, "{}: all paths must decode the same tree", c.name);
-            let single = c.single.unwrap();
-            assert!(single.cut_rounds >= c.warm.cut_rounds, "batching cannot add rounds");
-            assert_eq!(single.pool_hits, 0, "the baseline never consults the pool");
+            assert!(c.verified, "{}: the returned tree must carry its certificate", c.name);
         }
         let storm = crate::serve_storm::run(&crate::serve_storm::Config {
             requests: 20,
@@ -398,7 +283,7 @@ mod tests {
         let results = BenchResults { cases, storm };
         let json = to_json(&results, true);
         assert!(json.contains("\"suite\": \"bench-perf\""));
-        assert!(json.contains("\"schema_version\": 4"));
+        assert!(json.contains("\"schema_version\": 5"));
         assert!(json.contains("\"smoke\": true"));
         assert!(json.contains("\"storm\": {\"requests\": 20"));
         assert!(json.contains("\"p99_ms\""));
@@ -411,14 +296,13 @@ mod tests {
         assert!(json.contains("\"pool_hits\""));
         assert!(json.contains("\"cuts_batched\""));
         assert!(json.contains("\"seeds_pruned\""));
-        assert!(json.contains("\"single_speedup\""));
-        assert!(json.contains("\"round_ratio\""));
-        assert!(json.contains("\"same_tree\": true"));
+        assert!(json.contains("\"verified\": true"));
+        assert!(!json.contains("\"single\""), "v5 drops the comparison blocks");
         // Valid JSON shape, end to end (the hand-rolled writer has no
         // serializer to lean on).
         assert!(wsn_obs::json::parse(&json).is_ok(), "BENCH json must parse:\n{json}");
         let table = render(&results);
-        assert!(table.contains("1-cut"));
+        assert!(table.contains("verified"));
         assert!(table.contains("pool hits"));
         assert!(table.contains("p99 fresh-solve latency"));
     }

@@ -14,14 +14,12 @@
 //! All algorithms here are deterministic given their inputs (randomized
 //! builders take an explicit RNG), which keeps experiments reproducible.
 
-pub mod gomory_hu;
 pub mod maxflow;
 pub mod mst;
 pub mod spanning;
 pub mod traversal;
 pub mod unionfind;
 
-pub use gomory_hu::GomoryHuTree;
 pub use maxflow::{FlowEdgeId, FlowNetwork};
 pub use mst::{kruskal, mst_tree, prim, WeightedEdge};
 pub use spanning::{bfs_tree, random_spanning_tree, shortest_path_tree};

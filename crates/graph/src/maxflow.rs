@@ -27,8 +27,8 @@ pub type FlowEdgeId = usize;
 /// The network doubles as a reusable **scratch arena**: after a
 /// [`FlowNetwork::max_flow`] call consumed the capacities,
 /// [`FlowNetwork::reset`] restores them in place (no allocation), so one
-/// network can serve many flow queries — the pattern both the separation
-/// oracle and the Gomory–Hu builder rely on. All working buffers
+/// network can serve many flow queries — the pattern the separation
+/// oracle relies on. All working buffers
 /// (BFS level/queue, DFS cursors, cut marks) are preallocated once.
 #[derive(Clone, Debug)]
 pub struct FlowNetwork {

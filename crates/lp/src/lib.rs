@@ -7,18 +7,21 @@
 //! ecosystem does not offer a pure-Rust simplex with that guarantee, so this
 //! crate implements one from scratch:
 //!
-//! * a model builder ([`LpProblem`]) for `min cᵀx` subject to
-//!   `Ax {≤,=,≥} b` and box bounds `l ≤ x ≤ u`;
-//! * a dense **two-phase primal simplex with bounded variables**
-//!   ([`simplex`]): nonbasic variables sit at either bound, the ratio test
-//!   handles bound flips, and Bland's rule kicks in after prolonged
-//!   degeneracy so the algorithm terminates;
+//! * **the engine**, [`IncrementalLp`] ([`incremental`]): a warm-started
+//!   bounded-variable simplex over a row-sparse tableau that keeps its
+//!   basis across appended `≤` rows, tightened bounds and relaxed
+//!   right-hand sides, repairing with dual-simplex pivots. It is the only
+//!   LP the cutting-plane loop of `mrlc-core` runs;
+//! * **the reference**, a dense **two-phase primal simplex with bounded
+//!   variables** ([`simplex`]) over a model builder ([`LpProblem`]) for
+//!   `min cᵀx` subject to `Ax {≤,=,≥} b` and box bounds `l ≤ x ≤ u`:
+//!   nonbasic variables sit at either bound, the ratio test handles bound
+//!   flips, and Bland's rule kicks in after prolonged degeneracy so the
+//!   algorithm terminates. The engine checks every warm solve for
+//!   feasibility against a mirror [`LpProblem`], and the tests cross-check
+//!   its optima against this solver;
 //! * solutions are always **basic** — exactly the extreme points Lemma 1's
 //!   integrality argument needs.
-//!
-//! Problem sizes here are modest (≲ a few thousand columns), so a dense
-//! tableau is the right trade-off: simple, cache-friendly, and easy to
-//! verify.
 //!
 //! # Example
 //!

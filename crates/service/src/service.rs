@@ -263,6 +263,7 @@ struct Inflight {
 }
 
 struct FleetState {
+    /// EWMA of solve time from dequeue, ms: the projected-wait estimate.
     ewma_ms: f64,
     fail_counts: HashMap<u64, u32>,
     quarantine: HashMap<u64, QuarantineEntry>,
@@ -670,6 +671,7 @@ fn worker_loop(shared: &Arc<Shared>, wid: usize) {
             Popped::Closed => return,
             Popped::Job(job) => *job,
         };
+        let dequeued_ns = shared.now_ns();
         shared.metrics.queue_depth.set(shared.queue.len() as i64);
         let nth = shared.dequeues.fetch_add(1, Ordering::SeqCst) + 1;
         // Register the job immediately: it must count as in-flight for the
@@ -739,7 +741,7 @@ fn worker_loop(shared: &Arc<Shared>, wid: usize) {
         }
 
         match outcome {
-            Ok(Ok(ResilientRun::Done(out))) => complete(shared, job, out),
+            Ok(Ok(ResilientRun::Done(out))) => complete(shared, job, out, dequeued_ns),
             Ok(Ok(ResilientRun::Handback(cp))) => park(shared, job, Some(cp)),
             Ok(Err(ResilienceError::Infeasible { lc, reason })) => {
                 shared.metrics.infeasible.inc();
@@ -754,13 +756,18 @@ fn worker_loop(shared: &Arc<Shared>, wid: usize) {
     }
 }
 
-fn complete(shared: &Arc<Shared>, job: Job, out: SolveOutcome) {
+/// Records a solved job. The projected-wait EWMA learns the solve time
+/// from dequeue: admission multiplies it by the queue depth, so feeding it
+/// submit-to-completion latency would count queue wait and retry backoff
+/// twice and over-shed deadline requests after any stall. The latency
+/// histograms keep submit-to-completion, which is what a caller waits.
+fn complete(shared: &Arc<Shared>, job: Job, out: SolveOutcome, dequeued_ns: u64) {
     let latency_ms = shared.ms_since(job.submitted_ns);
+    let solve_ms = shared.ms_since(dequeued_ns);
     {
         let mut st = shared.state();
         st.fail_counts.remove(&job.hash);
-        st.ewma_ms =
-            if st.ewma_ms <= 0.0 { latency_ms } else { 0.8 * st.ewma_ms + 0.2 * latency_ms };
+        st.ewma_ms = if st.ewma_ms <= 0.0 { solve_ms } else { 0.8 * st.ewma_ms + 0.2 * solve_ms };
         if shared.cfg.cache {
             st.cache.insert(job.hash, out.clone());
         }

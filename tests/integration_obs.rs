@@ -136,7 +136,7 @@ fn engine_counters_are_deterministic_under_fixed_seed() {
         get("sep.pool_hits") <= get("ira.cuts_added"),
         "a pool hit is one kind of cut activation"
     );
-    let batch_cap = mrlc_core::SeparationConfig::default().max_cuts_per_round as u64;
+    let batch_cap = mrlc_core::formulation::MAX_CUTS_PER_ROUND as u64;
     assert!(
         get("sep.pool_hits") <= get("sep.pool_scans") * batch_cap,
         "hits are bounded by scans times the batch cap"

@@ -197,6 +197,54 @@ fn manual_clock_schedules_retries_without_real_sleeping() {
 }
 
 #[test]
+fn queue_wait_does_not_inflate_the_projected_wait() {
+    // One worker on a manual clock, stalled 300 ms of real time on every
+    // dequeue. A hopeless instance (LC beyond any node's reach) holds the
+    // worker while B queues behind it and ten virtual seconds pass; A
+    // resolves Infeasible, which teaches the wait estimate nothing. B then
+    // solves in no virtual time: it waited long but solved fast, so the
+    // estimate must stay near zero, and a deadline request behind one
+    // in-flight job is admitted rather than shed as ProjectedWait.
+    let mc = wsn_obs::ManualClock::new();
+    let svc = SolveService::start(ServiceConfig {
+        workers: 1,
+        initial_ewma_ms: 0.0,
+        clock: TimeSource::manual(mc.clone()),
+        chaos: ChaosConfig {
+            stall: Some((1, Duration::from_millis(300))),
+            ..ChaosConfig::default()
+        },
+        ..ServiceConfig::default()
+    });
+    let base = instance(90, 16);
+    let lc = 3000.0 / EnergyModel::PAPER.tx * 2.0;
+    let hopeless = MrlcInstance::new(base.network().clone(), *base.model(), lc).unwrap();
+    let a = svc.submit(SolveRequest::new(hopeless));
+    let b = svc.submit(SolveRequest::new(instance(91, 16)));
+    mc.advance(Duration::from_secs(10));
+    assert!(matches!(wait(&a).outcome, ServiceOutcome::Infeasible { .. }));
+    let done = wait(&b);
+    assert!(done.outcome.is_solved());
+    assert!(done.latency_ms >= 10_000.0, "latency keeps the queue wait: {}", done.latency_ms);
+    // D occupies the worker (its stall): depth 1 when C arrives.
+    let d = svc.submit(SolveRequest::new(instance(92, 16)));
+    std::thread::sleep(Duration::from_millis(50));
+    // A 1 s deadline behind one job: projected 1 × EWMA(solve time).
+    let c = svc.submit(SolveRequest {
+        instance: instance(93, 16),
+        budget: SolveBudget::unlimited(),
+        deadline: Some(Duration::from_secs(1)),
+    });
+    match wait(&c).outcome {
+        ServiceOutcome::Solved(_) => {}
+        other => panic!("queue wait leaked into the solve-time estimate: {other:?}"),
+    }
+    assert!(wait(&d).outcome.is_solved());
+    let report = svc.drain();
+    assert!(report.no_leaked_workers());
+}
+
+#[test]
 fn backpressure_sheds_with_typed_reasons() {
     let svc = SolveService::start(ServiceConfig {
         workers: 1,

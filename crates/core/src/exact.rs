@@ -371,8 +371,8 @@ mod tests {
                 k in 1usize..4,
             ) {
                 let mut b = NetworkBuilder::new(n);
-                for i in 0..n - 1 {
-                    b.add_edge(i, i + 1, spine_q[i] as f64 / 100.0).unwrap();
+                for (i, &q) in spine_q.iter().enumerate().take(n - 1) {
+                    b.add_edge(i, i + 1, q as f64 / 100.0).unwrap();
                 }
                 for (u, v, q) in extra {
                     if u < n && v < n && u != v {

@@ -5,7 +5,6 @@
 //! (tree depth under ideal scheduling) relative to SPT/MST/AAML across
 //! random instances.
 
-use crate::parallel::parallel_map;
 use crate::table::{f, Table};
 use crate::workloads::{aaml_paper_protocol, ira_at};
 use rand::rngs::StdRng;
@@ -14,6 +13,7 @@ use wsn_baselines::{mst, spt};
 use wsn_model::EnergyModel;
 use wsn_sim::{greedy_schedule, mean_hop_distance, round_latency_slots};
 use wsn_testbed::{random_graph, RandomGraphConfig};
+use wsn_util::parallel_map;
 
 /// Experiment parameters.
 #[derive(Clone, Copy, Debug)]

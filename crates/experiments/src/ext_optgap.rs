@@ -6,13 +6,13 @@
 //! instances the gap turns out to be tiny — IRA's relaxation is nearly
 //! exact in practice.
 
-use crate::parallel::parallel_map;
 use crate::table::{f, Table};
 use mrlc_core::{solve_exact, solve_ira, ExactConfig, ExactOutcome, IraConfig, MrlcInstance};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wsn_model::{lifetime, EnergyModel, PaperCost};
 use wsn_testbed::{random_graph, RandomGraphConfig};
+use wsn_util::parallel_map;
 
 /// Experiment parameters.
 #[derive(Clone, Copy, Debug)]

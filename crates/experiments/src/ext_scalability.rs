@@ -1,9 +1,10 @@
 //! Extension: wall-clock scalability of the solvers.
 //!
 //! The paper never reports runtimes. This table shows how the
-//! implementations scale with network size on `G(n, 0.7)` instances —
-//! the criterion benches measure the same thing with statistical rigor;
-//! this is the quick human-readable view.
+//! implementations scale with network size on `G(n, 0.7)` instances. Each
+//! cell is one timed run, so it is the quick human-readable view; the
+//! repository benchmark (`perfbench/`) times the solver layers with
+//! repeats.
 
 use crate::table::{f, Table};
 use mrlc_core::{

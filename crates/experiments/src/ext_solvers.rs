@@ -9,7 +9,6 @@
 //! bracket IRA from below, exposing how much of the LP machinery the
 //! problem actually needs.
 
-use crate::parallel::parallel_map;
 use crate::table::{f, Table};
 use mrlc_core::{
     lagrangian_dbmst, solve_exact, solve_ira, ExactConfig, ExactOutcome, IraConfig,
@@ -19,6 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wsn_model::{lifetime, EnergyModel, PaperCost};
 use wsn_testbed::{random_graph, RandomGraphConfig};
+use wsn_util::parallel_map;
 
 /// Experiment parameters.
 #[derive(Clone, Copy, Debug)]

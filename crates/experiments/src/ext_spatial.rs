@@ -5,12 +5,12 @@
 //! quality-blind tree construction even harder. This experiment reruns the
 //! Fig. 8 comparison on random geometric deployments.
 
-use crate::parallel::parallel_map;
 use crate::table::{f, Table};
 use crate::workloads::{aaml_paper_protocol, ira_at, paper_cost};
 use wsn_model::{reliability, EnergyModel};
 use wsn_radio::LinkModel;
 use wsn_testbed::{geometric_deployment, GeometricConfig};
+use wsn_util::parallel_map;
 
 /// Experiment parameters.
 #[derive(Clone, Copy, Debug)]

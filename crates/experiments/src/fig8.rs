@@ -1,7 +1,6 @@
 //! Fig. 8 — random graphs with equal initial energy: per-instance cost of
 //! AAML, IRA (at `LC = L_AAML`), and MST.
 
-use crate::parallel::parallel_map;
 use crate::table::{f, Table};
 use crate::workloads::{aaml_paper_protocol, ira_at, paper_cost};
 use rand::rngs::StdRng;
@@ -9,6 +8,7 @@ use rand::SeedableRng;
 use wsn_model::EnergyModel;
 use wsn_proto::{DistributedNetwork, FaultPlan, LossyChannel, RetryPolicy};
 use wsn_testbed::{random_graph, EnergyDistribution, RandomGraphConfig};
+use wsn_util::parallel_map;
 
 /// Experiment parameters.
 #[derive(Clone, Copy, Debug)]

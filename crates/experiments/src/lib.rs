@@ -41,7 +41,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod obs_report;
-pub mod parallel;
 pub mod serve_storm;
 pub mod table;
 pub mod workloads;

@@ -179,14 +179,9 @@ fn main() {
             std::process::exit(2);
         }
         if !traces.is_empty() {
-            // One trace reports directly; several (a fleet's per-worker
-            // traces) are merged into a single timeline first.
-            let result = if traces.len() == 1 {
-                obs_report::run(&traces[0], cli.top_k)
-            } else {
-                obs_report::run_merged(traces, cli.top_k)
-            };
-            match result {
+            // Several traces (a fleet's per-worker traces) are merged into
+            // a single timeline first.
+            match obs_report::run(traces, cli.top_k) {
                 Ok(text) => print!("{text}"),
                 Err(e) => {
                     eprintln!("{e}");

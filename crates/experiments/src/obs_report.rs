@@ -1,63 +1,57 @@
-//! `obs-report` — validates a JSONL trace written by `--trace` and renders
-//! the human-readable summary (per-span total/self time, hot spans first,
-//! event counts with warnings called out). With `--metrics m.json` it also
-//! renders the metrics-registry export — the `ira.*` solver counters and
-//! the `sep.*` cut-pool engine counters (pool hits/scans, batched cuts,
-//! pruned seeds).
+//! `obs-report` — reads JSONL traces written by `--trace` and renders the
+//! human-readable summary (per-span total/self time, hot spans first,
+//! event counts with warnings called out) or the path-keyed hotspot table.
+//! With `--metrics m.json` it also renders the metrics-registry export —
+//! the `ira.*` solver counters and the `sep.*` cut-pool engine counters
+//! (pool hits/scans, batched cuts, pruned seeds).
 //!
-//! The heavy lifting lives in `wsn_obs::report`; this module is the thin
-//! CLI adapter: read the file, validate leniently (a crashed or budget-
-//! killed run leaves truncated traces that are still worth reporting —
-//! malformed lines are skipped and counted, not fatal), render. Only a
-//! file that is not a trace at all (missing/bad header) is a hard error.
+//! The heavy lifting lives in `wsn_obs`; this module is the thin CLI
+//! adapter: read the files, merge them when there are several, profile
+//! the result, render. A crashed or budget-killed run leaves truncated
+//! traces that are still worth reporting, so malformed lines are skipped
+//! and counted, not fatal. Only a file that is not a trace at all
+//! (missing/bad header) is a hard error.
 
-/// Reads and validates the trace at `path`, returning the rendered
-/// summary. Damage is reported inline; errors are strings ready for
-/// `eprintln!`.
-pub fn run(path: &str, top_k: usize) -> Result<String, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read trace {path}: {e}"))?;
-    let lenient =
-        wsn_obs::validate_trace_lenient(&text).map_err(|e| format!("invalid trace: {e}"))?;
-    let mut out = wsn_obs::render_summary(&lenient.summary, top_k);
-    if lenient.skipped > 0 {
-        let (lineno, reason) = lenient.first_skip.as_ref().expect("skipped implies a first skip");
-        out.push_str(&format!(
-            "\nwarning: skipped {} malformed line(s); first at line {lineno}: {reason}\n",
-            lenient.skipped
-        ));
-    }
-    if lenient.unclosed_spans > 0 {
-        out.push_str(&format!(
-            "warning: trace truncated — {} span(s) never closed (partial time dropped)\n",
-            lenient.unclosed_spans
-        ));
-    }
-    Ok(out)
-}
+use wsn_obs::Profile;
 
-/// Reads several per-worker traces (e.g. the fleet traces written by
-/// `serve-storm --trace-dir`), merges them into one deterministic timeline
-/// via [`wsn_obs::merge_traces`], and reports the merged trace. Each
-/// record is tagged with the trace it came from (the file path), and the
-/// merged trace is read leniently like the single-file path — a crashed
-/// worker's truncated trace still reports.
-pub fn run_merged(paths: &[String], top_k: usize) -> Result<String, String> {
+/// Reads the traces at `paths` and profiles them. Several traces (e.g. a
+/// fleet's per-worker traces) are first merged into one deterministic
+/// timeline via [`wsn_obs::merge_traces`], each record tagged with its
+/// file path.
+fn load(paths: &[String]) -> Result<Profile, String> {
     let mut traces = Vec::with_capacity(paths.len());
     for path in paths {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read trace {path}: {e}"))?;
         traces.push((path.clone(), text));
     }
-    let merged = wsn_obs::merge_traces(&traces)?;
-    let lenient =
-        wsn_obs::validate_trace_lenient(&merged).map_err(|e| format!("invalid merge: {e}"))?;
-    let mut out = format!("merged {} trace(s)\n", paths.len());
-    out.push_str(&wsn_obs::render_summary(&lenient.summary, top_k));
-    if lenient.unclosed_spans > 0 {
+    let text = match traces.len() {
+        1 => traces.pop().expect("one trace").1,
+        _ => wsn_obs::merge_traces(&traces)?,
+    };
+    wsn_obs::profile_trace(&text).map_err(|e| format!("invalid trace: {e}"))
+}
+
+/// `obs-report <trace.jsonl>...` — the rendered summary of one trace or of
+/// the merge of several. Damage is reported inline; errors are strings
+/// ready for `eprintln!`.
+pub fn run(paths: &[String], top_k: usize) -> Result<String, String> {
+    let profile = load(paths)?;
+    let mut out = String::new();
+    if paths.len() > 1 {
+        out.push_str(&format!("merged {} trace(s)\n", paths.len()));
+    }
+    out.push_str(&wsn_obs::render_summary(&profile, top_k));
+    if let Some((lineno, reason)) = &profile.first_skip {
         out.push_str(&format!(
-            "warning: {} span(s) never closed (truncated worker trace; partial time dropped)\n",
-            lenient.unclosed_spans
+            "\nwarning: skipped {} malformed line(s); first at line {lineno}: {reason}\n",
+            profile.skipped
+        ));
+    }
+    if profile.unclosed > 0 {
+        out.push_str(&format!(
+            "warning: trace truncated — {} span(s) never closed (partial time dropped)\n",
+            profile.unclosed
         ));
     }
     Ok(out)
@@ -81,22 +75,11 @@ pub fn run_postmortem(path: &str) -> Result<String, String> {
 }
 
 /// `obs-report hotspots <trace.jsonl>...` — profiles one trace (or the
-/// deterministic merge of several per-worker traces) by span path and
-/// renders the top-`top_k` hotspot table; `folded` instead emits
-/// flamegraph-compatible folded stacks (`a;b;c self_time` per line).
+/// merge of several) by span path and renders the top-`top_k` hotspot
+/// table; `folded` instead emits flamegraph-compatible folded stacks
+/// (`a;b;c self_time` per line).
 pub fn run_hotspots(paths: &[String], top_k: usize, folded: bool) -> Result<String, String> {
-    let mut traces = Vec::with_capacity(paths.len());
-    for path in paths {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read trace {path}: {e}"))?;
-        traces.push((path.clone(), text));
-    }
-    let text = match &traces[..] {
-        [] => return Err("hotspots: no trace files given".to_string()),
-        [(_, only)] => only.clone(),
-        many => wsn_obs::merge_traces(many)?,
-    };
-    let profile = wsn_obs::profile_trace(&text)?;
+    let profile = load(paths)?;
     Ok(if folded { profile.folded() } else { profile.render(top_k) })
 }
 
@@ -122,7 +105,7 @@ mod tests {
             wsn_obs::event("tick", vec![wsn_obs::field("k", 1u64)]);
         }
         let path = write_temp("obs_report_valid.jsonl", &obs.trace_jsonl());
-        let text = run(path.to_str().unwrap(), 10).unwrap();
+        let text = run(&[path.to_str().unwrap().to_string()], 10).unwrap();
         assert!(text.contains("outer"));
         assert!(text.contains("inner"));
         assert!(text.contains("tick"));
@@ -131,7 +114,7 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         let path = write_temp("obs_report_garbage.jsonl", "not json\n");
-        let err = run(path.to_str().unwrap(), 10).unwrap_err();
+        let err = run(&[path.to_str().unwrap().to_string()], 10).unwrap_err();
         assert!(err.contains("invalid trace"), "{err}");
     }
 
@@ -152,7 +135,7 @@ mod tests {
         let mut damaged = lines.join("\n");
         damaged.push_str("\n{\"type\":\"mystery\"\n");
         let path = write_temp("obs_report_truncated.jsonl", &damaged);
-        let text = run(path.to_str().unwrap(), 10).unwrap();
+        let text = run(&[path.to_str().unwrap().to_string()], 10).unwrap();
         assert!(text.contains("inner"), "{text}");
         assert!(text.contains("skipped 1 malformed line"), "{text}");
         assert!(text.contains("never closed"), "{text}");
@@ -160,7 +143,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_an_error() {
-        let err = run("/nonexistent/trace.jsonl", 10).unwrap_err();
+        let err = run(&["/nonexistent/trace.jsonl".to_string()], 10).unwrap_err();
         assert!(err.contains("cannot read"), "{err}");
     }
 
@@ -196,7 +179,7 @@ mod tests {
         let p0 = write_temp("obs_report_merge_w0.jsonl", &one_span_trace("solve-left"));
         let p1 = write_temp("obs_report_merge_w1.jsonl", &one_span_trace("solve-right"));
         let paths = [p0, p1].map(|p| p.to_str().unwrap().to_string());
-        let text = run_merged(&paths, 10).unwrap();
+        let text = run(&paths, 10).unwrap();
         assert!(text.contains("merged 2 trace(s)"), "{text}");
         assert!(text.contains("solve-left") && text.contains("solve-right"), "{text}");
     }
@@ -250,7 +233,7 @@ mod tests {
     fn merge_with_a_missing_file_is_an_error() {
         let p0 = write_temp("obs_report_merge_ok.jsonl", &one_span_trace("a"));
         let paths = [p0.to_str().unwrap().to_string(), "/nonexistent/w9.jsonl".to_string()];
-        let err = run_merged(&paths, 10).unwrap_err();
+        let err = run(&paths, 10).unwrap_err();
         assert!(err.contains("cannot read"), "{err}");
     }
 }

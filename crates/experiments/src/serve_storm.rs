@@ -329,8 +329,11 @@ mod tests {
 
     #[test]
     fn chaos_storm_still_types_every_outcome() {
+        // Cache hits never reach a worker, but each distinct instance's
+        // first submission does: with `distinct >= kill_every` the kill
+        // fires whatever the client interleaving.
         let cfg =
-            Config { requests: 30, distinct: 3, n: 16, kill_every: Some(5), ..Config::fast() };
+            Config { requests: 30, distinct: 5, n: 16, kill_every: Some(5), ..Config::fast() };
         let stats = run(&cfg);
         assert!(stats.all_typed);
         assert!(stats.no_leaked_workers);

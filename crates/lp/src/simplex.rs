@@ -661,10 +661,10 @@ mod tests {
                 vars[i][j] = p.add_unit_var(c);
             }
         }
-        for i in 0..3 {
-            let row: Vec<_> = (0..3).map(|j| (vars[i][j], 1.0)).collect();
+        for (i, vars_i) in vars.iter().enumerate() {
+            let row: Vec<_> = vars_i.iter().map(|&v| (v, 1.0)).collect();
             p.add_constraint(&row, Relation::Eq, 1.0);
-            let col: Vec<_> = (0..3).map(|j| (vars[j][i], 1.0)).collect();
+            let col: Vec<_> = vars.iter().map(|vars_j| (vars_j[i], 1.0)).collect();
             p.add_constraint(&col, Relation::Eq, 1.0);
         }
         let s = optimal(&p);
@@ -787,11 +787,12 @@ mod tests {
                 }
                 a.swap(col, pivot_row);
                 b.swap(col, pivot_row);
+                let pivot = a[col][col..k].to_vec();
                 for r in 0..k {
                     if r != col {
                         let f = a[r][col] / a[col][col];
-                        for c in col..k {
-                            a[r][c] -= f * a[col][c];
+                        for (x, p) in a[r][col..k].iter_mut().zip(&pivot) {
+                            *x -= f * p;
                         }
                         b[r] -= f * b[col];
                     }

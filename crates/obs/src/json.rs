@@ -1,4 +1,4 @@
-//! Minimal JSON parser for trace validation and `obs-report`.
+//! Minimal JSON parser and string escaper for the trace tooling.
 //!
 //! The vendored `serde` stub has no real serialization, so the workspace
 //! hand-rolls JSON in both directions. This reader covers the full JSON
@@ -86,7 +86,7 @@ impl Json {
                     out.push_str(&format!("{n}"));
                 }
             }
-            Json::Str(s) => render_string(s, out),
+            Json::Str(s) => out.push_str(&json_string(s)),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -103,7 +103,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    render_string(k, out);
+                    out.push_str(&json_string(k));
                     out.push(':');
                     v.render_into(out);
                 }
@@ -113,7 +113,10 @@ impl Json {
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
+/// JSON string literal with the required escapes — the one escaper behind
+/// every trace, dump, and metrics export and [`Json::render`].
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
         match c {
@@ -127,6 +130,7 @@ fn render_string(s: &str, out: &mut String) {
         }
     }
     out.push('"');
+    out
 }
 
 /// Parses one complete JSON document; trailing non-whitespace is an error.

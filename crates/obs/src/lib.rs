@@ -10,15 +10,17 @@
 //!   and fixed-bucket histograms whose handles are plain `Arc`-atomics —
 //!   cheap enough for the parallel separation workers, which must never
 //!   emit ordered records but may bump schedule-independent sums.
-//! * **Export & reporting** ([`trace::Obs::trace_jsonl`], [`report`]):
-//!   JSONL traces, a strict validator, and the `obs-report` summary
-//!   renderer (per-span self/total time, top-k hot spans).
+//! * **Export & reporting** ([`trace::Obs::trace_jsonl`], [`profile`],
+//!   [`report`]): JSONL traces and one reader of them. [`profile_trace`]
+//!   replays span nesting once, checking every record and counting
+//!   damage; the strict validator, the `obs-report` summary (per-span
+//!   self/total time, top-k hot spans) and the hotspot profiler (self
+//!   time by span path, top-K tables, flamegraph-compatible folded
+//!   stacks) are all views of its [`Profile`].
 //!
-//! Two deep-observability planes ride on the span stream: a
-//! fixed-capacity **flight recorder** ([`ring`]) that keeps the newest
-//! records at bounded cost for black-box postmortem dumps, and a
-//! **hotspot profiler** ([`profile`]) that aggregates self-time by span
-//! path into top-K tables and flamegraph-compatible folded stacks.
+//! A fixed-capacity **flight recorder** ([`ring`]) rides on the span
+//! stream too, keeping the newest records at bounded cost for black-box
+//! postmortem dumps.
 //!
 //! The crate is std-only so it works in the offline build environment,
 //! mirroring `wsn-util`.
@@ -33,11 +35,8 @@ pub mod trace;
 
 pub use clock::{Clock, ManualClock, TimeSource};
 pub use metrics::{Counter, Gauge, Histogram, Registry};
-pub use profile::{profile_trace, HotPath, Profile};
-pub use report::{
-    merge_traces, render_metrics, render_postmortem, render_summary, validate_trace,
-    validate_trace_lenient, EventAgg, LenientSummary, SpanAgg, TraceSummary,
-};
+pub use profile::{profile_trace, EventAgg, HotPath, Profile, SpanAgg};
+pub use report::{merge_traces, render_metrics, render_postmortem, render_summary, validate_trace};
 pub use ring::{FlightRecorder, RingRecord};
 pub use trace::{
     counter, current, current_or_detached, event, field, install, span, span_with, warn,

@@ -223,7 +223,7 @@ fn push_entry(buf: &mut String, name: &str, value: &str) {
     if !buf.is_empty() {
         buf.push(',');
     }
-    buf.push_str(&crate::trace::json_string(name));
+    buf.push_str(&crate::json::json_string(name));
     buf.push(':');
     buf.push_str(value);
 }

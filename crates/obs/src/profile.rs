@@ -1,19 +1,30 @@
-//! Hierarchical self-profiling derived from span nesting.
+//! The one reader of the JSONL span stream.
 //!
-//! [`profile_trace`] walks a JSONL trace and aggregates time by *span
-//! path* — the stack of span names from the root to the span — rather
-//! than by bare name, so `ira-attempt;lp-solve;lp-primal` is attributed
-//! separately from a hypothetical `lp-primal` reached some other way.
-//! Per path it keeps the instance count, total (end − start) time, and
-//! self time (total minus time covered by child spans). The result
-//! renders two ways: a top-K hotspot table ([`Profile::render`]) and
-//! flamegraph-compatible folded stacks ([`Profile::folded`], one
-//! `a;b;c value` line per path, consumable by `flamegraph.pl` or
-//! `inferno`).
+//! [`profile_trace`] replays a trace's span nesting once and aggregates
+//! time by *span path* — the stack of span names from the root to the
+//! span — rather than by bare name, so `ira-attempt;lp-solve;lp-primal`
+//! is attributed separately from a hypothetical `lp-primal` reached some
+//! other way. Per path it keeps the instance count, total (end − start)
+//! time, self time (total minus time covered by child spans) and the
+//! largest instance; per event name it keeps the count and the warns.
+//!
+//! Every record line is checked against the schema [`crate::trace`]
+//! emits: timestamps never decrease, span ids are unique, a parent must
+//! be open, levels are `info` or `warn`, and an event's span must be
+//! open. A line that fails is skipped and counted, and spans still open
+//! at the end are counted, so a truncated or damaged trace still
+//! profiles; [`crate::validate_trace`] turns either into an error. Only a
+//! missing or malformed header is fatal here.
+//!
+//! A profile renders three ways: a top-K hotspot table
+//! ([`Profile::render`]), flamegraph-compatible folded stacks
+//! ([`Profile::folded`], one `a;b;c value` line per path, consumable by
+//! `flamegraph.pl` or `inferno`), and the by-name `obs-report` summary
+//! ([`crate::render_summary`]).
 
 use crate::json::{parse, Json};
 use crate::trace::TRACE_SCHEMA_VERSION;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Aggregate over every span instance sharing one root-to-leaf name path.
 #[derive(Clone, Debug)]
@@ -26,19 +37,50 @@ pub struct HotPath {
     pub total: u64,
     /// Total minus time covered by child spans.
     pub self_time: u64,
+    /// Largest single instance.
+    pub max: u64,
 }
 
-/// A profiled trace: path-keyed aggregates plus bookkeeping.
+/// Aggregate over every span with the same name, whatever its path: a
+/// by-name view of [`Profile::paths`].
+#[derive(Clone, Debug)]
+pub struct SpanAgg {
+    pub name: String,
+    pub count: u64,
+    /// Sum of (end − start) over all instances.
+    pub total: u64,
+    /// Total minus time covered by child spans.
+    pub self_time: u64,
+    /// Largest single instance.
+    pub max: u64,
+}
+
+/// Aggregate over every event with the same name.
+#[derive(Clone, Debug)]
+pub struct EventAgg {
+    pub name: String,
+    pub count: u64,
+    pub warns: u64,
+}
+
+/// A replayed trace: path-keyed span aggregates and event tallies, plus an
+/// account of what had to be dropped to get them.
 #[derive(Clone, Debug)]
 pub struct Profile {
-    /// `"wall"` (nanoseconds) or `"virtual"` (ticks).
+    /// `"wall"` (nanoseconds) or `"virtual"` (one tick per record).
     pub clock: String,
     /// Path-sorted aggregates (lexicographic on the path).
     pub paths: Vec<HotPath>,
-    /// Malformed or unknown record lines skipped.
+    /// Sorted by name.
+    pub events: Vec<EventAgg>,
+    /// Record lines that passed every check (header excluded).
+    pub records: usize,
+    /// Malformed record lines skipped.
     pub skipped: usize,
-    /// Spans left open at end of input (truncated trace); their partial
-    /// time is dropped.
+    /// Line number and reason of the first skip, for diagnostics.
+    pub first_skip: Option<(usize, String)>,
+    /// Spans still open at end of input — the signature of a truncated
+    /// file. Their partial time is dropped, not guessed.
     pub unclosed: usize,
 }
 
@@ -49,87 +91,230 @@ struct OpenSpan {
     child_time: u64,
 }
 
-/// Profiles `text` (a JSONL trace from [`crate::Obs::trace_jsonl`] or a
-/// [`crate::merge_traces`] output). Lenient on record lines — damage is
-/// counted, not fatal — but a missing or malformed header is an error.
-pub fn profile_trace(text: &str) -> Result<Profile, String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty trace: missing header line")?;
-    let h = parse(header).map_err(|e| format!("line 1: {e}"))?;
-    if h.get("type").and_then(Json::as_str) != Some("trace_header") {
-        return Err("line 1: first record must be a trace_header".to_string());
-    }
-    match h.get("schema_version").and_then(Json::as_u64) {
-        Some(TRACE_SCHEMA_VERSION) => {}
-        Some(v) => return Err(format!("line 1: unsupported schema_version {v}")),
-        None => return Err("line 1: trace_header missing schema_version".to_string()),
-    }
-    let clock = match h.get("clock").and_then(Json::as_str) {
-        Some(c @ ("wall" | "virtual")) => c.to_string(),
-        other => return Err(format!("line 1: unknown clock {other:?}")),
-    };
+/// What the replay has open and what it has folded in so far.
+#[derive(Default)]
+struct Replay {
+    open: HashMap<u64, OpenSpan>,
+    seen_ids: HashSet<u64>,
+    paths: BTreeMap<Vec<String>, HotPath>,
+    events: BTreeMap<String, EventAgg>,
+    last_t: u64,
+}
 
-    let mut open: HashMap<u64, OpenSpan> = HashMap::new();
-    let mut aggs: BTreeMap<Vec<String>, HotPath> = BTreeMap::new();
-    let mut skipped = 0usize;
-    for line in lines {
-        if line.is_empty() {
-            continue;
+impl Replay {
+    /// Checks and folds in one record line. On error the state may have
+    /// absorbed part of the record (its timestamp, its span id), so a
+    /// damaged line still constrains the lines after it.
+    fn apply(&mut self, lineno: usize, line: &str) -> Result<(), String> {
+        let rec = parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
+        if !rec.is_obj() {
+            return Err(format!("line {lineno}: record is not an object"));
         }
-        let Ok(rec) = parse(line) else {
-            skipped += 1;
-            continue;
-        };
-        let Some(t) = rec.get("t").and_then(Json::as_u64) else {
-            skipped += 1;
-            continue;
-        };
+        let t = rec
+            .get("t")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("line {lineno}: missing integer \"t\""))?;
+        if t < self.last_t {
+            return Err(format!(
+                "line {lineno}: timestamp {t} goes backwards (last {})",
+                self.last_t
+            ));
+        }
+        self.last_t = t;
+        if let Some(fields) = rec.get("fields") {
+            if !fields.is_obj() {
+                return Err(format!("line {lineno}: \"fields\" must be an object"));
+            }
+        }
         match rec.get("type").and_then(Json::as_str) {
             Some("span_start") => {
-                let (Some(id), Some(name)) =
-                    (rec.get("id").and_then(Json::as_u64), rec.get("name").and_then(Json::as_str))
-                else {
-                    skipped += 1;
-                    continue;
-                };
-                let parent = rec.get("parent").and_then(Json::as_u64);
-                let mut path = match parent.and_then(|p| open.get(&p)) {
-                    Some(p) => p.path.clone(),
-                    None => Vec::new(),
+                let id = rec
+                    .get("id")
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| format!("line {lineno}: span_start missing id"))?;
+                if !self.seen_ids.insert(id) {
+                    return Err(format!("line {lineno}: span id {id} reused"));
+                }
+                let name = rec
+                    .get("name")
+                    .and_then(Json::as_str)
+                    .filter(|n| !n.is_empty())
+                    .ok_or_else(|| format!("line {lineno}: span_start missing name"))?;
+                let (parent, mut path) = match rec.get("parent") {
+                    None => (None, Vec::new()),
+                    Some(p) => {
+                        let pid = p
+                            .as_u64()
+                            .ok_or_else(|| format!("line {lineno}: parent must be an id"))?;
+                        let parent = self.open.get(&pid).ok_or_else(|| {
+                            format!("line {lineno}: parent span {pid} is not open")
+                        })?;
+                        (Some(pid), parent.path.clone())
+                    }
                 };
                 path.push(name.to_string());
-                open.insert(id, OpenSpan { path, start: t, parent, child_time: 0 });
+                self.open.insert(id, OpenSpan { path, start: t, parent, child_time: 0 });
             }
             Some("span_end") => {
-                let Some(span) =
-                    rec.get("id").and_then(Json::as_u64).and_then(|id| open.remove(&id))
-                else {
-                    skipped += 1;
-                    continue;
-                };
-                let dur = t.saturating_sub(span.start);
-                if let Some(parent) = span.parent.and_then(|p| open.get_mut(&p)) {
+                let id = rec
+                    .get("id")
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| format!("line {lineno}: span_end missing id"))?;
+                let span = self
+                    .open
+                    .remove(&id)
+                    .ok_or_else(|| format!("line {lineno}: span_end for unopened span {id}"))?;
+                let dur = t - span.start;
+                if let Some(parent) = span.parent.and_then(|p| self.open.get_mut(&p)) {
                     parent.child_time += dur;
                 }
-                let agg = aggs.entry(span.path.clone()).or_insert_with(|| HotPath {
-                    path: span.path.clone(),
+                let agg = self.paths.entry(span.path).or_insert_with_key(|path| HotPath {
+                    path: path.clone(),
                     count: 0,
                     total: 0,
                     self_time: 0,
+                    max: 0,
                 });
                 agg.count += 1;
                 agg.total += dur;
                 agg.self_time += dur.saturating_sub(span.child_time);
+                agg.max = agg.max.max(dur);
             }
-            Some("event") => {}
-            _ => skipped += 1,
+            Some("event") => {
+                let name = rec
+                    .get("name")
+                    .and_then(Json::as_str)
+                    .filter(|n| !n.is_empty())
+                    .ok_or_else(|| format!("line {lineno}: event missing name"))?;
+                let level = rec
+                    .get("level")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| format!("line {lineno}: event missing level"))?;
+                if !matches!(level, "info" | "warn") {
+                    return Err(format!("line {lineno}: unknown level {level:?}"));
+                }
+                if let Some(sp) = rec.get("span") {
+                    let sid = sp
+                        .as_u64()
+                        .ok_or_else(|| format!("line {lineno}: \"span\" must be an id"))?;
+                    if !self.open.contains_key(&sid) {
+                        return Err(format!("line {lineno}: event references closed span {sid}"));
+                    }
+                }
+                let agg = self.events.entry(name.to_string()).or_insert_with_key(|name| EventAgg {
+                    name: name.clone(),
+                    count: 0,
+                    warns: 0,
+                });
+                agg.count += 1;
+                if level == "warn" {
+                    agg.warns += 1;
+                }
+            }
+            Some(other) => return Err(format!("line {lineno}: unknown record type {other:?}")),
+            None => return Err(format!("line {lineno}: record missing \"type\"")),
+        }
+        Ok(())
+    }
+}
+
+/// Checks the header line of a `kind` document (`trace_header` or
+/// `blackbox_header`) and returns its clock. A file without a well-formed
+/// header is not a trace, so every reader rejects it.
+pub(crate) fn validate_header(line: &str, kind: &str) -> Result<String, String> {
+    let header = parse(line).map_err(|e| format!("line 1: {e}"))?;
+    if header.get("type").and_then(Json::as_str) != Some(kind) {
+        return Err(format!("line 1: first record must be a {kind}"));
+    }
+    match header.get("schema_version").and_then(Json::as_u64) {
+        Some(TRACE_SCHEMA_VERSION) => {}
+        Some(v) => return Err(format!("line 1: unsupported schema_version {v}")),
+        None => return Err(format!("line 1: {kind} missing schema_version")),
+    }
+    match header.get("clock").and_then(Json::as_str) {
+        Some(c @ ("wall" | "virtual")) => Ok(c.to_string()),
+        Some(c) => Err(format!("line 1: unknown clock {c:?}")),
+        None => Err(format!("line 1: {kind} missing clock")),
+    }
+}
+
+/// The unit of a duration on `clock`, and a title-line note saying what it
+/// measures. The virtual clock ticks once per record, so there a duration
+/// counts trace records, not time.
+pub(crate) fn unit(clock: &str) -> (&'static str, &'static str) {
+    if clock == "virtual" {
+        ("records", "; durations count trace records, not time")
+    } else {
+        ("ns", "")
+    }
+}
+
+/// Profiles `text` (a JSONL trace from [`crate::Obs::trace_jsonl`] or a
+/// [`crate::merge_traces`] output). Lenient on record lines — damage is
+/// counted, not fatal — but a missing or malformed header is an error.
+pub fn profile_trace(text: &str) -> Result<Profile, String> {
+    let mut lines = text.lines().enumerate();
+    let (_, header) = lines.next().ok_or("empty trace: missing header line")?;
+    let clock = validate_header(header, "trace_header")?;
+    let mut replay = Replay::default();
+    let (mut records, mut skipped, mut first_skip) = (0, 0, None);
+    for (idx, line) in lines {
+        if line.is_empty() {
+            continue;
+        }
+        match replay.apply(idx + 1, line) {
+            Ok(()) => records += 1,
+            Err(reason) => {
+                skipped += 1;
+                first_skip.get_or_insert((idx + 1, reason));
+            }
         }
     }
-    let unclosed = open.len();
-    Ok(Profile { clock, paths: aggs.into_values().collect(), skipped, unclosed })
+    Ok(Profile {
+        clock,
+        paths: replay.paths.into_values().collect(),
+        events: replay.events.into_values().collect(),
+        records,
+        skipped,
+        first_skip,
+        unclosed: replay.open.len(),
+    })
 }
 
 impl Profile {
+    /// Per-name aggregates over every path ending in that name, sorted by
+    /// total time descending, then name.
+    pub(crate) fn spans(&self) -> Vec<SpanAgg> {
+        let mut by_name: BTreeMap<&str, SpanAgg> = BTreeMap::new();
+        for p in &self.paths {
+            let name = p.path.last().expect("a path names at least one span");
+            let agg = by_name.entry(name).or_insert_with(|| SpanAgg {
+                name: name.clone(),
+                count: 0,
+                total: 0,
+                self_time: 0,
+                max: 0,
+            });
+            agg.count += p.count;
+            agg.total += p.total;
+            agg.self_time += p.self_time;
+            agg.max = agg.max.max(p.max);
+        }
+        let mut spans: Vec<SpanAgg> = by_name.into_values().collect();
+        spans.sort_by(|a, b| b.total.cmp(&a.total).then_with(|| a.name.cmp(&b.name)));
+        spans
+    }
+
+    /// Aggregate for one span name, if any such span closed.
+    pub fn span(&self, name: &str) -> Option<SpanAgg> {
+        self.spans().into_iter().find(|s| s.name == name)
+    }
+
+    /// Aggregate for one event name, if present.
+    pub fn event(&self, name: &str) -> Option<&EventAgg> {
+        self.events.iter().find(|e| e.name == name)
+    }
+
     /// Sum of self time over every path (the profiled "wall" of the trace).
     pub fn total_self(&self) -> u64 {
         self.paths.iter().map(|p| p.self_time).sum()
@@ -171,12 +356,12 @@ impl Profile {
     /// Top-`top_k` hotspot table, ranked by self time descending (path
     /// lexicographic on ties). Deterministic for a deterministic trace.
     pub fn render(&self, top_k: usize) -> String {
-        let unit = if self.clock == "virtual" { "ticks" } else { "ns" };
+        let (unit, note) = unit(&self.clock);
         let total_self = self.total_self().max(1);
         let mut ranked: Vec<&HotPath> = self.paths.iter().collect();
         ranked.sort_by(|a, b| b.self_time.cmp(&a.self_time).then_with(|| a.path.cmp(&b.path)));
         let mut out = format!(
-            "hotspots: {} path(s), {} clock{}{}\n\n",
+            "hotspots: {} path(s), {} clock{}{}{note}\n\n",
             self.paths.len(),
             self.clock,
             if self.skipped > 0 {
@@ -309,6 +494,23 @@ mod tests {
         assert_eq!(profile.unclosed, 1, "truncated outer span is reported");
         assert_eq!(profile.paths.len(), 1, "only the closed child aggregates");
         assert_eq!(profile.paths[0].path, vec!["a".to_string(), "b".to_string()]);
+    }
+
+    #[test]
+    fn profiler_counts_reused_ids_and_backward_time_as_damage() {
+        // The second start reuses id 1 and the first end runs backwards:
+        // both lines are damage, so span "a" keeps its id and closes at 4.
+        let text = "{\"type\":\"trace_header\",\"schema_version\":1,\"clock\":\"virtual\"}\n\
+                    {\"type\":\"span_start\",\"id\":1,\"t\":1,\"name\":\"a\"}\n\
+                    {\"type\":\"span_start\",\"id\":1,\"t\":2,\"name\":\"b\"}\n\
+                    {\"type\":\"span_end\",\"id\":1,\"t\":1}\n\
+                    {\"type\":\"span_end\",\"id\":1,\"t\":4}\n";
+        let profile = profile_trace(text).unwrap();
+        assert_eq!(profile.skipped, 2);
+        assert_eq!(profile.unclosed, 0);
+        assert_eq!(profile.paths.len(), 1);
+        assert_eq!(profile.paths[0].path, vec!["a".to_string()]);
+        assert_eq!(profile.paths[0].total, 3);
     }
 
     #[test]

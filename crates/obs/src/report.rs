@@ -1,291 +1,28 @@
-//! Trace validation and the human-readable summary renderer behind
+//! Trace validation, merging, and the human-readable renderers behind
 //! `mrlc-experiments obs-report`.
 //!
-//! [`validate_trace`] checks a JSONL trace line by line against the schema
-//! emitted by [`crate::trace`] — header first, span ids unique, parents and
-//! ends referencing live spans, levels well-formed — and aggregates spans
-//! by name (count, total time, self time = total minus child spans).
-//! [`render_summary`] prints the top-k hot spans and the event tallies.
+//! [`validate_trace`] is [`profile_trace`] with no tolerance for damage:
+//! the first malformed record line, or any span left open, is an error.
+//! [`render_summary`] prints a profile's top-k spans by name and its event
+//! tallies; [`merge_traces`] folds per-worker traces into one timeline.
 
 use crate::json::{parse, Json};
+use crate::profile::{profile_trace, unit, validate_header, Profile};
 use crate::trace::TRACE_SCHEMA_VERSION;
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 
-/// Aggregate over every span with the same name.
-#[derive(Clone, Debug)]
-pub struct SpanAgg {
-    pub name: String,
-    pub count: u64,
-    /// Sum of (end − start) over all instances.
-    pub total: u64,
-    /// Total minus time covered by child spans.
-    pub self_time: u64,
-    /// Largest single instance.
-    pub max: u64,
-}
-
-/// Aggregate over every event with the same name.
-#[derive(Clone, Debug)]
-pub struct EventAgg {
-    pub name: String,
-    pub count: u64,
-    pub warns: u64,
-}
-
-/// A validated trace, reduced to per-name aggregates.
-#[derive(Clone, Debug)]
-pub struct TraceSummary {
-    /// `"wall"` (nanoseconds) or `"virtual"` (ticks).
-    pub clock: String,
-    /// Sorted by total time descending, then name.
-    pub spans: Vec<SpanAgg>,
-    /// Sorted by name.
-    pub events: Vec<EventAgg>,
-    /// Record lines validated (header excluded).
-    pub records: usize,
-}
-
-impl TraceSummary {
-    /// Aggregate for one span name, if present.
-    pub fn span(&self, name: &str) -> Option<&SpanAgg> {
-        self.spans.iter().find(|s| s.name == name)
+/// Validates `text` as a JSONL trace and returns its profile. Every schema
+/// violation is an error naming the offending line, and so is a span left
+/// open at the end.
+pub fn validate_trace(text: &str) -> Result<Profile, String> {
+    let profile = profile_trace(text)?;
+    if let Some((_, reason)) = &profile.first_skip {
+        return Err(reason.clone());
     }
-
-    /// Aggregate for one event name, if present.
-    pub fn event(&self, name: &str) -> Option<&EventAgg> {
-        self.events.iter().find(|e| e.name == name)
+    if profile.unclosed > 0 {
+        return Err(format!("trace ends with {} unclosed span(s)", profile.unclosed));
     }
-}
-
-/// A lenient read of a possibly truncated or corrupt trace: the usual
-/// aggregates plus an account of what had to be dropped to get them.
-#[derive(Clone, Debug)]
-pub struct LenientSummary {
-    /// Aggregates over the lines that did validate.
-    pub summary: TraceSummary,
-    /// Malformed record lines skipped (header excluded — a bad header is
-    /// still a hard error).
-    pub skipped: usize,
-    /// Line number and reason of the first skip, for diagnostics.
-    pub first_skip: Option<(usize, String)>,
-    /// Spans still open at end of input — the signature of a truncated
-    /// file. Their partial time is dropped, not guessed.
-    pub unclosed_spans: usize,
-}
-
-struct OpenSpan {
-    name: String,
-    start: u64,
-    parent: Option<u64>,
-    child_time: u64,
-}
-
-/// Mutable validation state shared by the strict and lenient readers.
-#[derive(Default)]
-struct BodyState {
-    open: HashMap<u64, OpenSpan>,
-    seen_ids: std::collections::HashSet<u64>,
-    span_aggs: BTreeMap<String, SpanAgg>,
-    event_aggs: BTreeMap<String, EventAgg>,
-    last_t: u64,
-    records: usize,
-}
-
-impl BodyState {
-    /// Validates and folds in one record line. On error the state may have
-    /// absorbed part of the record (e.g. its span id); the strict reader
-    /// aborts immediately so this only matters to the lenient one, which
-    /// tolerates it by design.
-    fn apply(&mut self, lineno: usize, line: &str) -> Result<(), String> {
-        let rec = parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        if !rec.is_obj() {
-            return Err(format!("line {lineno}: record is not an object"));
-        }
-        let t = rec
-            .get("t")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("line {lineno}: missing integer \"t\""))?;
-        if t < self.last_t {
-            return Err(format!(
-                "line {lineno}: timestamp {t} goes backwards (last {})",
-                self.last_t
-            ));
-        }
-        self.last_t = t;
-        if let Some(fields) = rec.get("fields") {
-            if !fields.is_obj() {
-                return Err(format!("line {lineno}: \"fields\" must be an object"));
-            }
-        }
-        match rec.get("type").and_then(Json::as_str) {
-            Some("span_start") => {
-                let id = rec
-                    .get("id")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("line {lineno}: span_start missing id"))?;
-                if !self.seen_ids.insert(id) {
-                    return Err(format!("line {lineno}: span id {id} reused"));
-                }
-                let name = rec
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .filter(|n| !n.is_empty())
-                    .ok_or_else(|| format!("line {lineno}: span_start missing name"))?
-                    .to_string();
-                let parent = match rec.get("parent") {
-                    None => None,
-                    Some(p) => {
-                        let pid = p
-                            .as_u64()
-                            .ok_or_else(|| format!("line {lineno}: parent must be an id"))?;
-                        if !self.open.contains_key(&pid) {
-                            return Err(format!("line {lineno}: parent span {pid} is not open"));
-                        }
-                        Some(pid)
-                    }
-                };
-                self.open.insert(id, OpenSpan { name, start: t, parent, child_time: 0 });
-            }
-            Some("span_end") => {
-                let id = rec
-                    .get("id")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("line {lineno}: span_end missing id"))?;
-                let span = self
-                    .open
-                    .remove(&id)
-                    .ok_or_else(|| format!("line {lineno}: span_end for unopened span {id}"))?;
-                let dur = t - span.start;
-                if let Some(pid) = span.parent {
-                    if let Some(parent) = self.open.get_mut(&pid) {
-                        parent.child_time += dur;
-                    }
-                }
-                let agg = self.span_aggs.entry(span.name.clone()).or_insert_with(|| SpanAgg {
-                    name: span.name.clone(),
-                    count: 0,
-                    total: 0,
-                    self_time: 0,
-                    max: 0,
-                });
-                agg.count += 1;
-                agg.total += dur;
-                agg.self_time += dur.saturating_sub(span.child_time);
-                agg.max = agg.max.max(dur);
-            }
-            Some("event") => {
-                let name = rec
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .filter(|n| !n.is_empty())
-                    .ok_or_else(|| format!("line {lineno}: event missing name"))?
-                    .to_string();
-                let level = rec
-                    .get("level")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("line {lineno}: event missing level"))?;
-                if !matches!(level, "info" | "warn") {
-                    return Err(format!("line {lineno}: unknown level {level:?}"));
-                }
-                if let Some(sp) = rec.get("span") {
-                    let sid = sp
-                        .as_u64()
-                        .ok_or_else(|| format!("line {lineno}: \"span\" must be an id"))?;
-                    if !self.open.contains_key(&sid) {
-                        return Err(format!("line {lineno}: event references closed span {sid}"));
-                    }
-                }
-                let agg = self.event_aggs.entry(name.clone()).or_insert_with(|| EventAgg {
-                    name,
-                    count: 0,
-                    warns: 0,
-                });
-                agg.count += 1;
-                if level == "warn" {
-                    agg.warns += 1;
-                }
-            }
-            Some(other) => return Err(format!("line {lineno}: unknown record type {other:?}")),
-            None => return Err(format!("line {lineno}: record missing \"type\"")),
-        }
-        self.records += 1;
-        Ok(())
-    }
-
-    fn into_summary(self, clock: String) -> TraceSummary {
-        let mut spans: Vec<SpanAgg> = self.span_aggs.into_values().collect();
-        spans.sort_by(|a, b| b.total.cmp(&a.total).then_with(|| a.name.cmp(&b.name)));
-        let events: Vec<EventAgg> = self.event_aggs.into_values().collect();
-        TraceSummary { clock, spans, events, records: self.records }
-    }
-}
-
-/// Parses and validates the header line, returning the clock kind. A trace
-/// without a well-formed header is not a trace — both readers reject it.
-fn validate_header(header: &str) -> Result<String, String> {
-    let header = parse(header).map_err(|e| format!("line 1: {e}"))?;
-    if header.get("type").and_then(Json::as_str) != Some("trace_header") {
-        return Err("line 1: first record must be a trace_header".to_string());
-    }
-    match header.get("schema_version").and_then(Json::as_u64) {
-        Some(TRACE_SCHEMA_VERSION) => {}
-        Some(v) => return Err(format!("line 1: unsupported schema_version {v}")),
-        None => return Err("line 1: trace_header missing schema_version".to_string()),
-    }
-    match header.get("clock").and_then(Json::as_str) {
-        Some(c @ ("wall" | "virtual")) => Ok(c.to_string()),
-        Some(c) => Err(format!("line 1: unknown clock {c:?}")),
-        None => Err("line 1: trace_header missing clock".to_string()),
-    }
-}
-
-/// Validates `text` as a JSONL trace and returns the aggregates.
-/// Every schema violation is an error naming the offending line.
-pub fn validate_trace(text: &str) -> Result<TraceSummary, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or("empty trace: missing header line")?;
-    let clock = validate_header(header)?;
-    let mut st = BodyState::default();
-    for (idx, line) in lines {
-        if line.is_empty() {
-            continue;
-        }
-        st.apply(idx + 1, line)?;
-    }
-    if !st.open.is_empty() {
-        let mut ids: Vec<u64> = st.open.keys().copied().collect();
-        ids.sort_unstable();
-        return Err(format!("trace ends with {} unclosed span(s): ids {ids:?}", ids.len()));
-    }
-    Ok(st.into_summary(clock))
-}
-
-/// As [`validate_trace`], but degrades gracefully on damaged input: any
-/// malformed record line is skipped and counted rather than fatal, and
-/// spans left open by a truncated file are reported, not rejected. Only a
-/// missing or malformed header — i.e. not a trace at all — is an error.
-pub fn validate_trace_lenient(text: &str) -> Result<LenientSummary, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or("empty trace: missing header line")?;
-    let clock = validate_header(header)?;
-    let mut st = BodyState::default();
-    let mut skipped = 0usize;
-    let mut first_skip = None;
-    for (idx, line) in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let lineno = idx + 1;
-        if let Err(reason) = st.apply(lineno, line) {
-            skipped += 1;
-            if first_skip.is_none() {
-                first_skip = Some((lineno, reason));
-            }
-        }
-    }
-    let unclosed_spans = st.open.len();
-    Ok(LenientSummary { summary: st.into_summary(clock), skipped, first_skip, unclosed_spans })
+    Ok(profile)
 }
 
 /// Merges per-worker JSONL traces into one deterministic trace.
@@ -293,7 +30,7 @@ pub fn validate_trace_lenient(text: &str) -> Result<LenientSummary, String> {
 /// The service fleet collects one virtual-clock trace per worker thread;
 /// a single merged timeline is what `obs-report` wants to summarize. Each
 /// input is `(label, jsonl)` — the label (worker name) is stamped on every
-/// merged record as a `"w"` field, which the validators ignore. Records
+/// merged record as a `"w"` field, which the reader ignores. Records
 /// are stably ordered by `(timestamp, input index, line order)`, so the
 /// merge of the same traces is byte-identical regardless of how the files
 /// were gathered. Span ids are remapped to a fresh sequence per first
@@ -315,7 +52,8 @@ pub fn merge_traces(traces: &[(String, String)]) -> Result<String, String> {
     for (widx, (label, text)) in traces.iter().enumerate() {
         let mut lines = text.lines();
         let header = lines.next().ok_or_else(|| format!("trace {label:?}: empty"))?;
-        let this_clock = validate_header(header).map_err(|e| format!("trace {label:?}: {e}"))?;
+        let this_clock =
+            validate_header(header, "trace_header").map_err(|e| format!("trace {label:?}: {e}"))?;
         match &clock {
             None => clock = Some(this_clock),
             Some(c) if *c == this_clock => {}
@@ -390,12 +128,14 @@ pub fn merge_traces(traces: &[(String, String)]) -> Result<String, String> {
     Ok(out)
 }
 
-/// Renders the summary as a fixed-width table: top-`top_k` spans by total
-/// time plus every event tally. Deterministic for a deterministic trace.
-pub fn render_summary(summary: &TraceSummary, top_k: usize) -> String {
-    let unit = if summary.clock == "virtual" { "ticks" } else { "ns" };
+/// Renders a profile as a fixed-width table: the top-`top_k` span names by
+/// total time plus every event tally. Deterministic for a deterministic
+/// trace.
+pub fn render_summary(profile: &Profile, top_k: usize) -> String {
+    let (unit, note) = unit(&profile.clock);
+    let spans = profile.spans();
     let mut out = String::new();
-    out.push_str(&format!("trace: {} records, {} clock\n\n", summary.records, summary.clock));
+    out.push_str(&format!("trace: {} records, {} clock{note}\n\n", profile.records, profile.clock));
     out.push_str(&format!(
         "{:<28} {:>8} {:>14} {:>14} {:>12}\n",
         "span",
@@ -404,18 +144,18 @@ pub fn render_summary(summary: &TraceSummary, top_k: usize) -> String {
         format!("self ({unit})"),
         "max"
     ));
-    for agg in summary.spans.iter().take(top_k) {
+    for agg in spans.iter().take(top_k) {
         out.push_str(&format!(
             "{:<28} {:>8} {:>14} {:>14} {:>12}\n",
             agg.name, agg.count, agg.total, agg.self_time, agg.max
         ));
     }
-    if summary.spans.len() > top_k {
-        out.push_str(&format!("... and {} more span name(s)\n", summary.spans.len() - top_k));
+    if spans.len() > top_k {
+        out.push_str(&format!("... and {} more span name(s)\n", spans.len() - top_k));
     }
-    if !summary.events.is_empty() {
+    if !profile.events.is_empty() {
         out.push_str(&format!("\n{:<28} {:>8} {:>8}\n", "event", "count", "warns"));
-        for agg in &summary.events {
+        for agg in &profile.events {
             out.push_str(&format!("{:<28} {:>8} {:>8}\n", agg.name, agg.count, agg.warns));
         }
     }
@@ -546,20 +286,12 @@ fn histogram_quantile(bounds: &[u64], counts: &[u64], q: f64) -> String {
 pub fn render_postmortem(text: &str) -> Result<String, String> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or("empty dump: missing blackbox_header line")?;
-    let h = parse(header).map_err(|e| format!("line 1: {e}"))?;
-    if h.get("type").and_then(Json::as_str) != Some("blackbox_header") {
-        return Err("line 1: first record must be a blackbox_header".to_string());
-    }
-    match h.get("schema_version").and_then(Json::as_u64) {
-        Some(TRACE_SCHEMA_VERSION) => {}
-        Some(v) => return Err(format!("line 1: unsupported schema_version {v}")),
-        None => return Err("line 1: blackbox_header missing schema_version".to_string()),
-    }
-    let clock = h.get("clock").and_then(Json::as_str).unwrap_or("?").to_string();
+    let clock = validate_header(header, "blackbox_header")?;
+    let h = parse(header)?;
     let reason = h.get("reason").and_then(Json::as_str).unwrap_or("?").to_string();
     let worker = h.get("worker").and_then(Json::as_u64);
     let dropped = h.get("dropped").and_then(Json::as_u64).unwrap_or(0);
-    let unit = if clock == "virtual" { "ticks" } else { "ns" };
+    let (unit, _) = unit(&clock);
     let mut out = format!(
         "black box: {reason}{} — {clock} clock, {dropped} older record(s) overwritten\n\n",
         worker.map(|w| format!(" (worker {w})")).unwrap_or_default()
@@ -772,12 +504,12 @@ mod tests {
              {{\"type\":\"span_end\",\"id\":1,\"t\":5}}\n"
         );
         assert!(validate_trace(&text).is_err(), "strict reader must reject");
-        let lenient = validate_trace_lenient(&text).unwrap();
+        let lenient = profile_trace(&text).unwrap();
         assert_eq!(lenient.skipped, 2);
-        assert_eq!(lenient.unclosed_spans, 0);
+        assert_eq!(lenient.unclosed, 0);
         assert_eq!(lenient.first_skip.as_ref().unwrap().0, 3);
-        assert_eq!(lenient.summary.span("a").unwrap().total, 4);
-        assert_eq!(lenient.summary.event("x").unwrap().count, 1);
+        assert_eq!(lenient.span("a").unwrap().total, 4);
+        assert_eq!(lenient.event("x").unwrap().count, 1);
     }
 
     #[test]
@@ -788,29 +520,29 @@ mod tests {
                     {\"type\":\"span_start\",\"id\":2,\"t\":2,\"name\":\"b\"}\n\
                     {\"type\":\"span_end\",\"id\":2,\"t\":3}\n";
         assert!(validate_trace(text).is_err(), "strict reader must reject");
-        let lenient = validate_trace_lenient(text).unwrap();
+        let lenient = profile_trace(text).unwrap();
         assert_eq!(lenient.skipped, 0);
-        assert_eq!(lenient.unclosed_spans, 1);
-        assert_eq!(lenient.summary.span("b").unwrap().count, 1);
-        assert!(lenient.summary.span("a").is_none(), "partial span time is dropped");
+        assert_eq!(lenient.unclosed, 1);
+        assert_eq!(lenient.span("b").unwrap().count, 1);
+        assert!(lenient.span("a").is_none(), "partial span time is dropped");
     }
 
     #[test]
     fn lenient_still_rejects_bad_headers() {
-        assert!(validate_trace_lenient("").is_err());
-        assert!(validate_trace_lenient("not json\n").is_err());
-        assert!(validate_trace_lenient("{\"type\":\"event\",\"t\":1}\n").is_err());
+        assert!(profile_trace("").is_err());
+        assert!(profile_trace("not json\n").is_err());
+        assert!(profile_trace("{\"type\":\"event\",\"t\":1}\n").is_err());
     }
 
     #[test]
     fn lenient_matches_strict_on_clean_traces() {
         let jsonl = sample_trace();
         let strict = validate_trace(&jsonl).unwrap();
-        let lenient = validate_trace_lenient(&jsonl).unwrap();
+        let lenient = profile_trace(&jsonl).unwrap();
         assert_eq!(lenient.skipped, 0);
-        assert_eq!(lenient.unclosed_spans, 0);
-        assert_eq!(lenient.summary.records, strict.records);
-        assert_eq!(lenient.summary.spans.len(), strict.spans.len());
+        assert_eq!(lenient.unclosed, 0);
+        assert_eq!(lenient.records, strict.records);
+        assert_eq!(lenient.spans().len(), strict.spans().len());
     }
 
     #[test]
@@ -932,17 +664,17 @@ mod tests {
     #[test]
     fn merged_truncated_traces_stay_reportable() {
         // A crashed worker's trace may end mid-span; the merge keeps it and
-        // the lenient reader accounts for it.
+        // the profiler accounts for it.
         let healthy = worker_trace(&["ok"]);
         let truncated = "{\"type\":\"trace_header\",\"schema_version\":1,\"clock\":\"virtual\"}\n\
                          {\"type\":\"span_start\",\"id\":1,\"t\":1,\"name\":\"dead\"}\n";
         let merged =
             merge_traces(&[("w0".to_string(), healthy), ("w1".to_string(), truncated.to_string())])
                 .unwrap();
-        let lenient = validate_trace_lenient(&merged).unwrap();
+        let lenient = profile_trace(&merged).unwrap();
         assert_eq!(lenient.skipped, 0);
-        assert_eq!(lenient.unclosed_spans, 1);
-        assert_eq!(lenient.summary.span("ok").unwrap().count, 1);
+        assert_eq!(lenient.unclosed, 1);
+        assert_eq!(lenient.span("ok").unwrap().count, 1);
     }
 
     #[test]

@@ -93,8 +93,8 @@ impl FlightRecorder {
         let mut out = format!(
             "{{\"type\":\"blackbox_header\",\"schema_version\":{},\"clock\":{},\"reason\":{}",
             TRACE_SCHEMA_VERSION,
-            crate::trace::json_string(clock_kind),
-            crate::trace::json_string(reason)
+            crate::json::json_string(clock_kind),
+            crate::json::json_string(reason)
         );
         if let Some(w) = worker {
             out.push_str(&format!(",\"worker\":{w}"));
@@ -111,7 +111,7 @@ impl FlightRecorder {
                 RingRecord::CounterDelta { name, delta, t } => {
                     out.push_str(&format!(
                         "{{\"seq\":{seq},\"type\":\"counter_delta\",\"t\":{t},\"name\":{},\"delta\":{delta}}}",
-                        crate::trace::json_string(name)
+                        crate::json::json_string(name)
                     ));
                 }
             }

@@ -14,6 +14,7 @@
 //! a private detached `Obs`.
 
 use crate::clock::Clock;
+use crate::json::json_string;
 use crate::metrics::{Counter, Registry};
 use crate::ring::{FlightRecorder, RingRecord};
 use std::cell::RefCell;
@@ -327,25 +328,6 @@ pub fn json_f64(x: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// JSON string literal with the required escapes.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 thread_local! {

@@ -214,7 +214,7 @@ mod tests {
             // Extra chords.
             for u in 0..10 {
                 for v in u + 2..10 {
-                    if (u * 31 + v * 17 + seed as usize) % 4 == 0 {
+                    if (u * 31 + v * 17 + seed as usize).is_multiple_of(4) {
                         let _ = b.add_edge(u, v, 0.9);
                     }
                 }

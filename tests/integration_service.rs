@@ -293,13 +293,18 @@ fn projected_wait_shedding_consults_the_deadline() {
         },
         ..ServiceConfig::default()
     });
-    // Depth 0: even a tight deadline is admitted.
+    // Depth 0: even a deadline under the 10s EWMA prior is admitted. It is
+    // long enough that #1 cannot expire in the queue before a late worker
+    // wakes.
     let t1 = svc.submit(SolveRequest {
         instance: instance(80, 24),
         budget: SolveBudget::unlimited(),
-        deadline: Some(Duration::from_millis(1)),
+        deadline: Some(Duration::from_secs(5)),
     });
     // Let the worker pull #1 into its stall: it now counts as in-flight.
+    while svc.queue_depth() != 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     std::thread::sleep(Duration::from_millis(50));
     // Depth ≥ 1 with a 10s EWMA prior: a 50ms deadline is hopeless and
     // must be rejected at admission, not queued to die.
@@ -317,7 +322,7 @@ fn projected_wait_shedding_consults_the_deadline() {
     }
     // An undeadlined request is still welcome at any depth.
     let t3 = svc.submit(SolveRequest::new(instance(82, 24)));
-    let _ = wait(&t1);
+    assert!(wait(&t1).outcome.is_solved());
     assert!(wait(&t3).outcome.is_solved());
     let report = svc.drain();
     assert!(report.no_leaked_workers());
@@ -442,7 +447,7 @@ fn worker_traces_are_collected_and_reportable() {
     assert!(report.no_leaked_workers());
     assert_eq!(report.worker_traces.len(), 2);
     for (wid, trace) in &report.worker_traces {
-        let lenient = wsn_obs::validate_trace_lenient(trace)
+        let lenient = wsn_obs::profile_trace(trace)
             .unwrap_or_else(|e| panic!("worker {wid} trace invalid: {e}"));
         assert_eq!(lenient.skipped, 0, "worker {wid}");
     }

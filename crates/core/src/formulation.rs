@@ -11,8 +11,9 @@
 //! # Warm starts
 //!
 //! The solver keeps **one persistent [`IncrementalLp`]** alive across cut
-//! rounds *and* across `solve` calls. Each cut round appends its subtour
-//! rows to the standing tableau and repairs with a few dual pivots; each
+//! rounds *and* across `solve` calls. Each cut round starts by appending
+//! the subtour rows separation activated to the live LP, whose basis
+//! survives, and repairs with a few dual pivots; each
 //! IRA iteration (same node set, shrunken edge/cap sets) fixes dropped
 //! edges to zero via bound tightening and relaxes dropped caps to a
 //! vacuous right-hand side — no rebuild, no phase 1. Whenever a `solve`
@@ -134,8 +135,8 @@ fn lift(e: wsn_lp::LpError) -> CutLpError {
 
 impl std::error::Error for CutLpError {}
 
-/// Persistent warm-start state: one live tableau spanning cut rounds and
-/// IRA's shrinking re-solves.
+/// Persistent warm-start state: one live LP and basis spanning cut rounds
+/// and IRA's shrinking re-solves.
 #[derive(Clone, Debug)]
 struct WarmState {
     lp: IncrementalLp,
@@ -148,7 +149,7 @@ struct WarmState {
     cap_rows: BTreeMap<usize, (RowId, f64, f64)>,
     /// Cap nodes still enforced (not yet relaxed to the vacuous rhs).
     active_caps: BTreeSet<usize>,
-    /// How many of the pool's activated cuts have tableau rows.
+    /// How many of the pool's activated cuts have LP rows.
     subtour_rows: usize,
 }
 
@@ -275,7 +276,7 @@ impl CutLp {
     }
 
     /// Installs (or clears) the budget/cancellation context, propagating
-    /// it into the live warm tableau so a context set mid-sequence still
+    /// it into the live warm LP so a context set mid-sequence still
     /// governs every subsequent pivot.
     pub fn set_ctx(&mut self, ctx: Option<Arc<SolveCtx>>) {
         self.ctx = ctx.clone();
@@ -489,7 +490,7 @@ impl CutLp {
 
     // ---- warm path ----------------------------------------------------
 
-    /// True when the standing tableau can absorb this call as a shrink:
+    /// True when the live LP can absorb this call as a shrink:
     /// same node count, edges a subset of the still-active tags, caps a
     /// subset of the still-enforced rows with unchanged β.
     fn compatible(state: &WarmState, n: usize, edges: &[LpEdge], caps: &[(usize, f64)]) -> bool {
@@ -527,8 +528,8 @@ impl CutLp {
         (internal.len() >= set.len()).then_some((internal, set.len() as f64 - 1.0))
     }
 
-    /// Builds a fresh incremental tableau for the given instance,
-    /// materializing the pool's activated cuts.
+    /// Builds a fresh incremental LP for the given instance; the first cut
+    /// round materializes the pool's activated cuts into it.
     fn build_state(&mut self, n: usize, edges: &[LpEdge], caps: &[(usize, f64)]) -> WarmState {
         let mut lp = IncrementalLp::new();
         lp.set_ctx(self.ctx.clone());
@@ -562,23 +563,15 @@ impl CutLp {
             active_caps.insert(node);
         }
 
-        let mut state = WarmState { lp, n, vars, active, cap_rows, active_caps, subtour_rows: 0 };
-        let mut rows = Vec::new();
-        while state.subtour_rows < self.pool.active_count() {
-            if let Some(row) =
-                Self::subtour_row(&state.vars, self.pool.active_set(state.subtour_rows))
-            {
-                rows.push(row);
-            }
-            state.subtour_rows += 1;
-        }
-        state.lp.append_le_rows(&rows);
-        state
+        WarmState { lp, n, vars, active, cap_rows, active_caps, subtour_rows: 0 }
     }
 
-    /// Appends tableau rows for pool cuts activated since the last
-    /// materialization — one batched append, one dual repair.
-    fn materialize_pending(&mut self) {
+    /// Appends LP rows for pool cuts activated since the last
+    /// materialization — one batched append, one dual repair — under an
+    /// `lp-append` span. Each cut round starts with it, so a fresh state
+    /// picks up the whole pool.
+    fn materialize_pending(&mut self) -> &mut WarmState {
+        let _append = wsn_obs::span("lp-append");
         let state = self.state.as_mut().expect("warm state exists inside the solve loop");
         let mut rows = Vec::new();
         while state.subtour_rows < self.pool.active_count() {
@@ -592,6 +585,7 @@ impl CutLp {
         if !rows.is_empty() {
             state.lp.append_le_rows(&rows);
         }
+        state
     }
 
     fn solve_warm(
@@ -602,7 +596,7 @@ impl CutLp {
     ) -> Result<CutLpOutcome, CutLpError> {
         let reuse = self.state.as_ref().is_some_and(|s| Self::compatible(s, n, edges, caps));
         if reuse {
-            // Apply the shrink as bound/rhs mutations on the live tableau.
+            // Apply the shrink as bound/rhs mutations on the live LP.
             let mut state = self.state.take().unwrap();
             let keep: BTreeSet<usize> = edges.iter().map(|e| e.tag).collect();
             let dropped: Vec<usize> = state.active.difference(&keep).copied().collect();
@@ -618,7 +612,6 @@ impl CutLp {
                 state.active_caps.remove(&node);
             }
             self.state = Some(state);
-            self.materialize_pending();
         } else {
             let state = self.build_state(n, edges, caps);
             self.state = Some(state);
@@ -632,12 +625,12 @@ impl CutLp {
             }
             self.metrics.lp_solves.inc();
             self.metrics.cut_rounds.inc();
-            let state = self.state.as_mut().unwrap();
             let lp_start = std::time::Instant::now();
             let sol = {
                 let _span = wsn_obs::span_with("lp-solve", vec![wsn_obs::field("round", round)]);
-                state.lp.solve().map_err(lift)?
+                self.materialize_pending().lp.solve().map_err(lift)?
             };
+            let state = self.state.as_ref().expect("warm state exists inside the solve loop");
             let lp_elapsed = lp_start.elapsed();
             self.metrics.lp_ns.add(lp_elapsed.as_nanos() as u64);
             self.metrics.round_lp_us.observe(lp_elapsed.as_micros() as u64);
@@ -647,7 +640,7 @@ impl CutLp {
                 LpStatus::Infeasible => return Ok(CutLpOutcome::Infeasible),
                 LpStatus::Unbounded => {
                     // Box-bounded variables cannot make the model genuinely
-                    // unbounded; an unbounded verdict means the tableau data
+                    // unbounded; an unbounded verdict means the LP data
                     // went non-finite past what the sentinels could repair.
                     if let Some(obs) = wsn_obs::current() {
                         obs.registry().counter("lp.sentinel.unbounded_verdict").inc();
@@ -670,7 +663,6 @@ impl CutLp {
             if added == 0 {
                 return Ok(CutLpOutcome::Optimal { x, objective: sol.objective });
             }
-            self.materialize_pending();
         }
         Err(CutLpError::CutRoundLimit)
     }
@@ -884,7 +876,7 @@ mod tests {
     #[test]
     fn warm_matches_cold_with_subtour_cuts() {
         // The two-triangle instance forces subtour cuts; the warm path
-        // appends them to a live tableau instead of rebuilding.
+        // appends them to the live LP instead of rebuilding.
         let edges = vec![
             lpe(0, 1, 0.1, 0),
             lpe(1, 2, 0.1, 1),
@@ -915,7 +907,7 @@ mod tests {
     #[test]
     fn incompatible_resolve_rebuilds_transparently() {
         // Growing the edge set is NOT a shrink — the warm state must
-        // rebuild rather than answer from a stale tableau.
+        // rebuild rather than answer from a stale basis.
         let small = vec![lpe(0, 1, 1.0, 0), lpe(1, 2, 1.0, 1)];
         let full = vec![lpe(0, 1, 1.0, 0), lpe(1, 2, 1.0, 1), lpe(0, 2, 0.5, 2)];
         let mut warm = CutLp::new();

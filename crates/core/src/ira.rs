@@ -142,7 +142,7 @@ pub fn solve_ira_budgeted(
     solve_ira_impl(inst, config, Some(ctx), CutLp::new)
 }
 
-/// Continues an interrupted solve from its checkpoint: the warm tableau,
+/// Continues an interrupted solve from its checkpoint: the warm basis,
 /// the cut pool and the constraint-removal state all pick up where they
 /// stopped. A `None` context removes all limits for the continuation.
 pub fn resume_ira(
@@ -742,6 +742,36 @@ mod tests {
         }
         assert!(warm.stats.pivots > 0 && cold.stats.pivots > 0);
         assert!(warm.stats.cut_rounds >= warm.stats.lp_solves);
+    }
+
+    #[test]
+    fn dfl16_ladder_tree_is_pinned() {
+        // DFL-16 (trace seed 2015) at the bench ladder's bound. 13 of its
+        // 15 tree edges have q = 1, so many LP costs are exactly 0 and the
+        // tree hangs on how the engine breaks exact ties; this pins the
+        // recorded parent vector, Q and L.
+        let net = wsn_testbed::dfl_network(
+            &wsn_testbed::DflConfig::default(),
+            &wsn_radio::LinkModel::default(),
+            2015,
+        )
+        .unwrap();
+        let model = EnergyModel::PAPER;
+        let lc = lifetime::node_lifetime(3000.0, &model, 4) * 0.99;
+        let inst = MrlcInstance::new(net, model, lc).unwrap();
+        let sol = solve_ira(&inst, &IraConfig::default()).unwrap();
+        let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in 0..sol.tree.n() {
+            let p = sol.tree.parent(NodeId::new(v)).map_or(u64::MAX, |p| p.index() as u64);
+            for b in p.to_le_bytes() {
+                fnv ^= u64::from(b);
+                fnv = fnv.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(format!("{fnv:016x}"), "7eafc0838c60847a", "parent vector moved");
+        assert!((sol.reliability - 0.998001).abs() < 1e-12, "Q = {}", sol.reliability);
+        assert!((sol.lifetime - 4.6875e6).abs() < 1e-3, "L = {}", sol.lifetime);
+        assert_eq!(sol.stats.guard_removals, 0);
     }
 
     #[test]

@@ -30,11 +30,11 @@ const DEADLINE_STRIDE: u64 = 64;
 /// Injectable solver-fault classes (one-shot each, see [`SolveCtx::arm_fault`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultKind {
-    /// Writes a NaN into the tableau right-hand side during a pivot —
-    /// exercises the non-finite sentinels and cold refactorization.
+    /// Writes a NaN into the entering column's basic value at a pivot —
+    /// exercises the non-finite sentinels and the cold rebuild.
     CorruptPivot = 0,
-    /// Perturbs the warm tableau's basic values away from the mirror —
-    /// exercises the residual feasibility check and cold fallback.
+    /// Perturbs the basic values right after a warm solve's entry has
+    /// recomputed them — exercises the mirror check and cold fallback.
     PerturbRhs = 1,
     /// Forces the separation oracle to act as if its deadline expired —
     /// exercises interruption, checkpointing and warm resume.

@@ -8,10 +8,12 @@
 //! crate implements one from scratch:
 //!
 //! * **the engine**, [`IncrementalLp`] ([`incremental`]): a warm-started
-//!   bounded-variable simplex over a row-sparse tableau that keeps its
-//!   basis across appended `≤` rows, tightened bounds and relaxed
-//!   right-hand sides, repairing with dual-simplex pivots. It is the only
-//!   LP the cutting-plane loop of `mrlc-core` runs;
+//!   bounded-variable revised simplex that keeps its basis and a sparse
+//!   basis inverse across appended `≤` rows, tightened bounds and relaxed
+//!   right-hand sides, repairing with dual-simplex pivots. It stores the
+//!   inverse's rows only for the basic columns that are not a row's basic
+//!   slack (the rest follow from those) and rebuilds them on a fixed
+//!   cadence. It is the only LP the cutting-plane loop of `mrlc-core` runs;
 //! * **the reference**, a dense **two-phase primal simplex with bounded
 //!   variables** ([`simplex`]) over a model builder ([`LpProblem`]) for
 //!   `min cᵀx` subject to `Ax {≤,=,≥} b` and box bounds `l ≤ x ≤ u`:

@@ -25,24 +25,23 @@
 //!
 //! # The cut-pool separation engine
 //!
-//! Each cut round runs through a [`CutPool`] + [`SeedOracle`] pipeline
-//! (DESIGN.md §10). The pool parks every set the oracle ever separated;
-//! a round first *screens* the pool's inactive side against the current
-//! point — one dot product per cut, no maxflow — and re-activates up to
-//! [`MAX_CUTS_PER_ROUND`] of its most-violated, non-nested members. Only
-//! when the pool is clean does the expensive seeded-min-cut oracle run;
-//! its cuts are deepened by violation-maximizing local search
-//! ([`separation::strengthen`]) and its surplus findings are parked rather
-//! than discarded. The pool and the oracle's reusable scratch networks
-//! survive IRA shrink steps and constraint drops (subtour cuts stay valid
-//! on any edge subset). The pre-engine loop — one cut per round, no pool,
-//! no seed pruning — is likewise a unit-test reference only; both
+//! Each cut round runs through a [`CutPool`] + [`separation::separate`]
+//! pipeline (DESIGN.md §10). The pool parks every set the oracle ever
+//! separated; a round first *screens* the pool's inactive side against
+//! the current point — one dot product per cut, no maxflow — and
+//! re-activates up to [`MAX_CUTS_PER_ROUND`] of its most-violated,
+//! non-nested members. Only when the pool is clean does the expensive
+//! seeded-min-cut oracle run; its cuts are deepened by
+//! violation-maximizing local search ([`separation::strengthen`]) and its
+//! surplus findings are parked rather than discarded. The pool survives
+//! IRA shrink steps and constraint drops (subtour cuts stay valid on any
+//! edge subset); the oracle keeps no state and builds each call's network
+//! on the point's support. The pre-engine loop — one cut per round, no
+//! pool, no seed pruning — is likewise a unit-test reference only; both
 //! terminate at an optimum of the same polytope.
 
 use crate::cutpool::{select_batch, CutPool};
-use crate::separation::{
-    self, FracEdge, SeedOracle, SepCounters, ViolatedSet, PARALLEL_SEP_THRESHOLD,
-};
+use crate::separation::{self, FracEdge, SepCounters, ViolatedSet, PARALLEL_SEP_THRESHOLD};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -176,7 +175,7 @@ struct CutLpMetrics {
     round_lp_us: Histogram,
     /// Per-cut-round simplex pivot count.
     round_pivots: Histogram,
-    base: [u64; 10],
+    base: [u64; 9],
 }
 
 /// Per-cut-round LP wall-time buckets (µs, up to 5 s then overflow).
@@ -208,7 +207,6 @@ impl CutLpMetrics {
             pivots.get(),
             cut_rounds.get(),
             sep_ns.get(),
-            lp_ns.get(),
             pool_hits.get(),
             pool_scans.get(),
             cuts_batched.get(),
@@ -232,13 +230,12 @@ impl CutLpMetrics {
     }
 }
 
-/// Cutting-plane state. The cut pool, the oracle's scratch networks and
-/// the simplex basis all survive across IRA iterations (subtour cuts
-/// remain valid as edges/constraints are removed).
+/// Cutting-plane state. The cut pool and the simplex basis both survive
+/// across IRA iterations (subtour cuts remain valid as edges/constraints
+/// are removed).
 #[derive(Clone, Debug)]
 pub struct CutLp {
     pool: CutPool,
-    oracle: SeedOracle,
     counters: SepCounters,
     state: Option<WarmState>,
     metrics: CutLpMetrics,
@@ -265,7 +262,6 @@ impl CutLp {
         let reg = obs.registry();
         CutLp {
             pool: CutPool::new(),
-            oracle: SeedOracle::new(),
             counters: SepCounters::from_registry(reg),
             state: None,
             metrics: CutLpMetrics::from_registry(reg),
@@ -316,30 +312,25 @@ impl CutLp {
         Duration::from_nanos(self.metrics.sep_ns.get() - self.metrics.base[4])
     }
 
-    /// Wall time this instance spent inside the simplex.
-    pub fn lp_time(&self) -> Duration {
-        Duration::from_nanos(self.metrics.lp_ns.get() - self.metrics.base[5])
-    }
-
     /// Cuts re-activated from the pool instead of re-derived via maxflow.
     pub fn pool_hits(&self) -> usize {
-        (self.metrics.pool_hits.get() - self.metrics.base[6]) as usize
+        (self.metrics.pool_hits.get() - self.metrics.base[5]) as usize
     }
 
     /// Pool screening passes performed before consulting the oracle.
     pub fn pool_scans(&self) -> usize {
-        (self.metrics.pool_scans.get() - self.metrics.base[7]) as usize
+        (self.metrics.pool_scans.get() - self.metrics.base[6]) as usize
     }
 
     /// Cuts added beyond the first of their round — the direct measure of
     /// multi-cut batching versus the single-cut baseline.
     pub fn cuts_batched(&self) -> usize {
-        (self.metrics.cuts_batched.get() - self.metrics.base[8]) as usize
+        (self.metrics.cuts_batched.get() - self.metrics.base[7]) as usize
     }
 
     /// Min-cut seeds skipped by the pruning short-circuits.
     pub fn seeds_pruned(&self) -> usize {
-        (self.metrics.seeds_pruned.get() - self.metrics.base[9]) as usize
+        (self.metrics.seeds_pruned.get() - self.metrics.base[8]) as usize
     }
 
     /// Total cuts parked in the pool (active and inactive).
@@ -435,7 +426,7 @@ impl CutLp {
             }
         }
 
-        let mut cands = self.oracle.separate(
+        let mut cands = separation::separate(
             n,
             frac,
             SEP_TOL,

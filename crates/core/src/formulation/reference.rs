@@ -13,7 +13,7 @@
 
 use super::{lift, CutLp, CutLpError, CutLpOutcome, LpEdge, MAX_CUT_ROUNDS, SEP_TOL};
 use crate::cutpool::select_batch;
-use crate::separation::{FracEdge, PARALLEL_SEP_THRESHOLD};
+use crate::separation::{self, FracEdge, PARALLEL_SEP_THRESHOLD};
 use wsn_lp::{FaultKind, LpProblem, LpStatus, Relation, VarId};
 
 /// Which solver a test-built [`CutLp`] runs.
@@ -53,7 +53,7 @@ impl CutLp {
 
     /// The textbook round: the most violated oracle set gets a row.
     fn separate_single_cut(&mut self, n: usize, frac: &[FracEdge]) -> Result<usize, CutLpError> {
-        let mut cands = self.oracle.separate(
+        let mut cands = separation::separate(
             n,
             frac,
             SEP_TOL,

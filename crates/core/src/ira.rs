@@ -298,11 +298,6 @@ impl IraCheckpoint {
         self.state.stats.iterations
     }
 
-    /// The lifetime bound the interrupted attempt was solving under.
-    pub fn l_prime(&self) -> f64 {
-        self.state.l_used
-    }
-
     /// Lifetime constraints still enforced (|W| at the interruption).
     pub fn constrained_nodes(&self) -> usize {
         self.state.w_set.iter().filter(|&&b| b).count()
@@ -316,11 +311,6 @@ impl IraCheckpoint {
     /// Subtour cuts parked in the checkpointed pool.
     pub fn pool_size(&self) -> usize {
         self.state.cut.pool_size()
-    }
-
-    /// Fallback attempts (bound, relaxed-flag) not yet tried.
-    pub fn remaining_attempts(&self) -> usize {
-        self.remaining.len()
     }
 }
 

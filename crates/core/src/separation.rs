@@ -16,24 +16,26 @@
 //!
 //! # The separation engine
 //!
-//! [`SeedOracle`] is the stateful engine behind both entry points. The
-//! auxiliary network's *topology* depends only on the instance `(n, edges)`
-//! — the fractional point affects capacities alone — so the oracle keeps
-//! its built networks in a shared scratch store across calls. Each call
-//! re-declares only the capacities that drifted beyond [`CAP_EPS`]
-//! (delta updates via [`FlowNetwork::set_base_cap_undirected`]) instead of
-//! rebuilding one network per worker thread per call; a seed query then
-//! flips a single pre-declared `src → s` edge to infinite capacity and a
-//! [`FlowNetwork::reset`] undoes the residual state — no per-seed
-//! allocation. Worker threads lease scratches from the store and return
-//! them on drop, so serial (traced) and parallel (untraced) calls share
-//! the same networks. Results are merged through a `BTreeMap`, so the
-//! parallel and serial paths return **identical** output (a property the
-//! proptests pin down).
+//! [`separate`] is the engine behind both entry points. Each call builds
+//! one auxiliary network over the arcs of positive capacity only, in a
+//! fixed order: `src → v` at `−w(v)` where that is positive, `v → snk` at
+//! `w(v)` where that is positive, `x_e / 2` both ways for every edge with
+//! `x_e > 0`, then one `src → s` arc at 0 per seed. Dinic follows only
+//! arcs with residual capacity, and an arc declared at 0 gains some only
+//! when flow crosses its partner, which is at 0 too; with the kept arcs in
+//! the same order, every flow and cut is bit for bit that of the network
+//! declaring every instance edge (a proptest checks this against that
+//! network). The LP's extreme points leave most instance edges at exactly
+//! 0, so each seed's maxflow walks few arcs. A seed query raises its
+//! `src → s` arc to infinite capacity and a [`FlowNetwork::reset`] undoes
+//! the residual state — no per-seed allocation. The serial path reuses
+//! the call's network across waves; parallel workers each clone it.
+//! Results are merged through a `BTreeMap`, so the parallel and serial
+//! paths return **identical** output (a property the proptests pin down).
 //!
-//! With pruning enabled (the `prune` argument of [`SeedOracle::separate`],
-//! which the cutting-plane loop always sets) three sound short-circuits
-//! cut the per-call min-cut count well below `n`:
+//! With pruning enabled (the `prune` argument of [`separate`], which the
+//! cutting-plane loop always sets) three sound short-circuits cut the
+//! per-call min-cut count well below `n`:
 //!
 //! * **component pre-check bound** — a violated set within a support
 //!   component `C` needs `x(E(S)) > |S| − 1 ≥ 1`, and any violated set
@@ -46,8 +48,8 @@
 //!   any min-cut;
 //! * **covered-seed skip** — seeds already contained in a violated set
 //!   found earlier this call are skipped. Seeds are processed in
-//!   fixed-width waves of [`SEED_CHUNK`] so the serial and parallel paths
-//!   skip exactly the same seeds.
+//!   fixed-width waves of 16 (`SEED_CHUNK`) so the serial and parallel
+//!   paths skip exactly the same seeds.
 //!
 //! Skipping a covered seed can suppress *additional* violated sets, never
 //! all of them: whenever a violated set exists, one within a single heavy
@@ -56,21 +58,17 @@
 //! therefore still returns a nonempty result iff the point is infeasible.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
 use wsn_graph::{components, FlowEdgeId, FlowNetwork};
 use wsn_obs::{Counter, Histogram, Registry};
 use wsn_util::parallel_map_with;
 
 /// Node count at which the per-seed min-cuts are worth fanning out.
-pub(crate) const PARALLEL_SEP_THRESHOLD: usize = 32;
+pub(crate) const PARALLEL_SEP_THRESHOLD: usize = 64;
 
 /// Seeds are processed in waves of this width; violated sets found by
 /// earlier waves veto covered seeds in later ones. A fixed constant keeps
 /// the serial and parallel paths output-identical.
 const SEED_CHUNK: usize = 16;
-
-/// Capacity drift below which a delta sync leaves an edge untouched.
-const CAP_EPS: f64 = 1e-12;
 
 /// An edge of the current LP together with its fractional value.
 #[derive(Clone, Copy, Debug)]
@@ -146,9 +144,8 @@ pub fn violated_sets(n: usize, edges: &[FracEdge], tol: f64) -> Vec<Vec<usize>> 
 /// the per-seed min-cuts. Output is identical either way: every returned
 /// set is sorted, and the collection order is canonical (`BTreeMap`).
 ///
-/// This is a convenience wrapper that runs a throwaway [`SeedOracle`]
-/// without seed pruning; long-lived callers (the cutting-plane loop) keep
-/// their own oracle so the scratch networks survive between calls.
+/// This is [`separate`] without seed pruning; the cutting-plane loop
+/// calls [`separate`] with pruning on.
 pub fn violated_sets_with(
     n: usize,
     edges: &[FracEdge],
@@ -156,302 +153,190 @@ pub fn violated_sets_with(
     parallel: bool,
 ) -> Vec<Vec<usize>> {
     let counters = SepCounters::ambient_or_detached();
-    let mut oracle = SeedOracle::new();
-    oracle
-        .separate(n, edges, tol, parallel, false, &counters)
-        .into_iter()
-        .map(|vs| vs.set)
-        .collect()
+    separate(n, edges, tol, parallel, false, &counters).into_iter().map(|vs| vs.set).collect()
 }
 
-/// One reusable auxiliary network plus the edge ids needed to delta-update
-/// and query it.
-#[derive(Debug)]
-struct SeedScratch {
-    net: FlowNetwork,
-    /// Per node `v`: `src → v` edge carrying `max(−w(v), 0)`.
-    node_src: Vec<FlowEdgeId>,
-    /// Per node `v`: `v → snk` edge carrying `max(w(v), 0)`.
-    node_snk: Vec<FlowEdgeId>,
-    /// Per instance edge: undirected edge carrying `x_e / 2`.
-    graph_edges: Vec<FlowEdgeId>,
-    /// Per seed `s`: `src → s` edge at 0, flipped to ∞ for one query.
-    seed_edges: Vec<FlowEdgeId>,
-    /// The fractional point the capacities currently encode.
-    last_x: Vec<f64>,
-    last_w: Vec<f64>,
-    side: Vec<bool>,
-}
-
-impl SeedScratch {
-    fn build(n: usize, edges: &[FracEdge], w: &[f64]) -> Self {
-        let src = n;
-        let snk = n + 1;
-        let mut net = FlowNetwork::new(n + 2);
-        // Both directions of every node weight are pre-declared (at most
-        // one is nonzero at a time) so later sign flips of w(v) are plain
-        // capacity updates, not topology changes.
-        let node_src: Vec<FlowEdgeId> =
-            (0..n).map(|v| net.add_edge(src, v, (-w[v]).max(0.0))).collect();
-        let node_snk: Vec<FlowEdgeId> =
-            (0..n).map(|v| net.add_edge(v, snk, w[v].max(0.0))).collect();
-        // Every instance edge is declared even at x_e = 0: zero-capacity
-        // edges carry no flow, and keeping them makes a later x_e > 0 a
-        // capacity update too.
-        let graph_edges: Vec<FlowEdgeId> =
-            edges.iter().map(|e| net.add_undirected_edge(e.u, e.v, (e.x / 2.0).max(0.0))).collect();
-        let seed_edges: Vec<FlowEdgeId> = (0..n).map(|s| net.add_edge(src, s, 0.0)).collect();
-        SeedScratch {
-            net,
-            node_src,
-            node_snk,
-            graph_edges,
-            seed_edges,
-            last_x: edges.iter().map(|e| e.x).collect(),
-            last_w: w.to_vec(),
-            side: Vec::new(),
-        }
-    }
-
-    /// Re-declares only the capacities that moved beyond [`CAP_EPS`].
-    fn sync(&mut self, edges: &[FracEdge], w: &[f64]) {
-        for (i, e) in edges.iter().enumerate() {
-            if (e.x - self.last_x[i]).abs() > CAP_EPS {
-                self.net.set_base_cap_undirected(self.graph_edges[i], (e.x / 2.0).max(0.0));
-                self.last_x[i] = e.x;
-            }
-        }
-        for (v, &wv) in w.iter().enumerate() {
-            if (wv - self.last_w[v]).abs() > CAP_EPS {
-                self.net.set_base_cap(self.node_src[v], (-wv).max(0.0));
-                self.net.set_base_cap(self.node_snk[v], wv.max(0.0));
-                self.last_w[v] = wv;
-            }
-        }
-    }
-}
-
-/// RAII lease on a scratch network: returns it to the oracle's shared
-/// store on drop, so worker threads recycle networks across calls instead
-/// of rebuilding per thread.
-struct ScratchLease<'a> {
-    store: &'a Mutex<Vec<SeedScratch>>,
-    sc: Option<SeedScratch>,
-}
-
-impl ScratchLease<'_> {
-    fn get(&mut self) -> &mut SeedScratch {
-        self.sc.as_mut().expect("lease holds a scratch until drop")
-    }
-}
-
-// Scratches are a pure allocation cache — a panicking sibling thread cannot
-// leave one inconsistent — so every lock below recovers from poisoning
-// instead of cascading the panic.
-impl Drop for ScratchLease<'_> {
-    fn drop(&mut self) {
-        if let Some(sc) = self.sc.take() {
-            self.store.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(sc);
-        }
-    }
-}
-
-/// The stateful separation engine: a store of reusable auxiliary networks
-/// keyed to one instance topology, plus the pruned seeded-min-cut sweep.
+/// Runs the separation oracle against the fractional point `edges`, on
+/// one auxiliary network built for this call over its positive-capacity
+/// arcs.
 ///
-/// Owned by `CutLp` so the networks survive across cut rounds and IRA
-/// shrink steps; a call with a different topology retargets transparently.
-#[derive(Debug, Default)]
-pub struct SeedOracle {
+/// Returns every violated set found — sorted members, canonical
+/// collection order, verified violation — or empty iff `x` satisfies
+/// all subtour constraints within `tol`. `prune` enables the seed
+/// short-circuits described in the module docs; they never change the
+/// empty/nonempty verdict, only how many distinct sets one call
+/// reports.
+pub fn separate(
     n: usize,
-    /// Edge endpoints of the instance the cached scratches were built for.
-    sig: Vec<(usize, usize)>,
-    store: Mutex<Vec<SeedScratch>>,
+    edges: &[FracEdge],
+    tol: f64,
+    parallel: bool,
+    prune: bool,
+    counters: &SepCounters,
+) -> Vec<ViolatedSet> {
+    separate_on(support_network, n, edges, tol, parallel, prune, counters)
 }
 
-impl Clone for SeedOracle {
-    fn clone(&self) -> Self {
-        // Scratches are an allocation cache, not state: clones start cold.
-        SeedOracle { n: self.n, sig: self.sig.clone(), store: Mutex::new(Vec::new()) }
+/// The auxiliary network of one call plus, per seed `s`, the id of its
+/// `src → s` arc (declared at 0, raised to ∞ for that seed's query).
+type SeedNetwork = (FlowNetwork, Vec<FlowEdgeId>);
+
+/// Builds the call's network over the arcs of positive capacity only, in
+/// the order the module docs give; `src = n`, `snk = n + 1`.
+fn support_network(n: usize, edges: &[FracEdge], w: &[f64]) -> SeedNetwork {
+    let (src, snk) = (n, n + 1);
+    let mut net = FlowNetwork::new(n + 2);
+    for (v, &wv) in w.iter().enumerate() {
+        if wv < 0.0 {
+            net.add_edge(src, v, -wv);
+        }
     }
+    for (v, &wv) in w.iter().enumerate() {
+        if wv > 0.0 {
+            net.add_edge(v, snk, wv);
+        }
+    }
+    for e in edges.iter().filter(|e| e.x > 0.0) {
+        net.add_undirected_edge(e.u, e.v, e.x / 2.0);
+    }
+    let seed_arcs = (0..n).map(|s| net.add_edge(src, s, 0.0)).collect();
+    (net, seed_arcs)
 }
 
-impl SeedOracle {
-    /// Creates an engine with no cached networks.
-    pub fn new() -> Self {
-        SeedOracle::default()
+/// Node weights `w(v) = 1 − x(δ(v))/2`.
+fn node_weights(n: usize, edges: &[FracEdge]) -> Vec<f64> {
+    let mut half_deg = vec![0.0f64; n];
+    for e in edges {
+        half_deg[e.u] += e.x / 2.0;
+        half_deg[e.v] += e.x / 2.0;
     }
+    half_deg.iter().map(|h| 1.0 - h).collect()
+}
 
-    /// Number of cached scratch networks (test/diagnostic hook).
-    pub fn cached_scratches(&self) -> usize {
-        self.store.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+/// [`separate`] with the network builder as a parameter, so tests can run
+/// the same sweep over the network that declares every instance edge.
+fn separate_on(
+    build: fn(usize, &[FracEdge], &[f64]) -> SeedNetwork,
+    n: usize,
+    edges: &[FracEdge],
+    tol: f64,
+    parallel: bool,
+    prune: bool,
+    counters: &SepCounters,
+) -> Vec<ViolatedSet> {
+    counters.calls.inc();
+    let mut found: BTreeMap<Vec<usize>, f64> = BTreeMap::new();
+
+    // --- Pre-check: components of the support graph. ---
+    let support: Vec<(usize, usize)> =
+        edges.iter().filter(|e| e.x > tol).map(|e| (e.u, e.v)).collect();
+    let (labels, k) = components(n, support.iter().copied());
+    let mut comp_mass = vec![0.0f64; k];
+    let mut comp_size = vec![0usize; k];
+    for e in edges {
+        if labels[e.u] == labels[e.v] {
+            comp_mass[labels[e.u]] += e.x;
+        }
     }
-
-    /// Drops cached scratches if the instance topology changed.
-    fn retarget(&mut self, n: usize, edges: &[FracEdge]) {
-        let matches = self.n == n
-            && self.sig.len() == edges.len()
-            && self.sig.iter().zip(edges).all(|(&(u, v), e)| u == e.u && v == e.v);
-        if !matches {
-            self.n = n;
-            self.sig = edges.iter().map(|e| (e.u, e.v)).collect();
-            self.store.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
+    for v in 0..n {
+        comp_size[labels[v]] += 1;
+    }
+    if k > 1 {
+        for comp in 0..k {
+            let viol = comp_mass[comp] - (comp_size[comp] as f64 - 1.0);
+            if comp_size[comp] >= 2 && viol > tol {
+                let set: Vec<usize> = (0..n).filter(|&v| labels[v] == comp).collect();
+                found.insert(set, viol);
+            }
+        }
+        if !found.is_empty() {
+            counters.violated.add(found.len() as u64);
+            return collect(found);
         }
     }
 
-    fn lease<'a>(&'a self, edges: &[FracEdge], w: &[f64]) -> ScratchLease<'a> {
-        let cached = self.store.lock().unwrap_or_else(std::sync::PoisonError::into_inner).pop();
-        let sc = match cached {
-            Some(mut sc) => {
-                sc.sync(edges, w);
-                sc
-            }
-            None => SeedScratch::build(self.n, edges, w),
-        };
-        ScratchLease { store: &self.store, sc: Some(sc) }
-    }
-
-    /// Runs the separation oracle against the fractional point `edges`,
-    /// reusing (and delta-updating) the cached networks.
-    ///
-    /// Returns every violated set found — sorted members, canonical
-    /// collection order, verified violation — or empty iff `x` satisfies
-    /// all subtour constraints within `tol`. `prune` enables the seed
-    /// short-circuits described in the module docs; they never change the
-    /// empty/nonempty verdict, only how many distinct sets one call
-    /// reports.
-    pub fn separate(
-        &mut self,
-        n: usize,
-        edges: &[FracEdge],
-        tol: f64,
-        parallel: bool,
-        prune: bool,
-        counters: &SepCounters,
-    ) -> Vec<ViolatedSet> {
-        counters.calls.inc();
-        self.retarget(n, edges);
-        let mut found: BTreeMap<Vec<usize>, f64> = BTreeMap::new();
-
-        // --- Pre-check: components of the support graph. ---
-        let support: Vec<(usize, usize)> =
-            edges.iter().filter(|e| e.x > tol).map(|e| (e.u, e.v)).collect();
-        let (labels, k) = components(n, support.iter().copied());
-        let mut comp_mass = vec![0.0f64; k];
-        let mut comp_size = vec![0usize; k];
+    // --- Pruning pre-passes. ---
+    let mut covered = vec![false; n];
+    let mut pruned = 0u64;
+    if prune {
+        // Dense pairs: aggregated mass above 1 + tol is a violation of
+        // the two-element subtour bound, no min-cut needed.
+        let mut pair_mass: HashMap<(usize, usize), f64> = HashMap::new();
         for e in edges {
-            if labels[e.u] == labels[e.v] {
-                comp_mass[labels[e.u]] += e.x;
+            if e.u != e.v {
+                *pair_mass.entry((e.u.min(e.v), e.u.max(e.v))).or_insert(0.0) += e.x;
             }
         }
-        for v in 0..n {
-            comp_size[labels[v]] += 1;
-        }
-        if k > 1 {
-            for comp in 0..k {
-                let viol = comp_mass[comp] - (comp_size[comp] as f64 - 1.0);
-                if comp_size[comp] >= 2 && viol > tol {
-                    let set: Vec<usize> = (0..n).filter(|&v| labels[v] == comp).collect();
-                    found.insert(set, viol);
-                }
-            }
-            if !found.is_empty() {
-                counters.violated.add(found.len() as u64);
-                return collect(found);
+        for (&(u, v), &m) in &pair_mass {
+            if m > 1.0 + tol {
+                found.insert(vec![u, v], m - 1.0);
+                covered[u] = true;
+                covered[v] = true;
             }
         }
+    }
 
-        // --- Pruning pre-passes. ---
-        let mut covered = vec![false; n];
-        let mut pruned = 0u64;
-        if prune {
-            // Dense pairs: aggregated mass above 1 + tol is a violation of
-            // the two-element subtour bound, no min-cut needed.
-            let mut pair_mass: HashMap<(usize, usize), f64> = HashMap::new();
-            for e in edges {
-                if e.u != e.v {
-                    *pair_mass.entry((e.u.min(e.v), e.u.max(e.v))).or_insert(0.0) += e.x;
-                }
-            }
-            for (&(u, v), &m) in &pair_mass {
-                if m > 1.0 + tol {
-                    found.insert(vec![u, v], m - 1.0);
-                    covered[u] = true;
-                    covered[v] = true;
-                }
-            }
+    // --- Exact oracle: one min-cut per surviving seed. ---
+    let w = node_weights(n, edges);
+    let p_neg: f64 = w.iter().filter(|&&x| x < 0.0).sum();
+    let (net, seed_arcs) = build(n, edges, &w);
+    // The serial path's network and cut-side buffer; each parallel worker
+    // clones it for its wave.
+    let mut scratch = (net, Vec::new());
+
+    let src = n;
+    let snk = n + 1;
+    let run_seed = |(net, side): &mut (FlowNetwork, Vec<bool>), s: usize| -> Option<ViolatedSet> {
+        counters.min_cut_seeds.inc();
+        net.reset();
+        net.set_cap(seed_arcs[s], f64::INFINITY);
+        let flow_start = std::time::Instant::now();
+        let flow = net.max_flow(src, snk);
+        let flow_elapsed = flow_start.elapsed();
+        counters.maxflow_ns.add(flow_elapsed.as_nanos() as u64);
+        counters.maxflow_us.observe(flow_elapsed.as_micros() as u64);
+        let min_f = p_neg + flow - 1.0;
+        if min_f >= -tol {
+            return None;
         }
-
-        // --- Exact oracle: one min-cut per surviving seed. ---
-        // Node weights w(v) = 1 − x(δ(v))/2.
-        let mut half_deg = vec![0.0f64; n];
-        for e in edges {
-            half_deg[e.u] += e.x / 2.0;
-            half_deg[e.v] += e.x / 2.0;
+        net.min_cut_source_side_into(src, side);
+        let set: Vec<usize> = (0..n).filter(|&v| side[v]).collect();
+        if set.len() < 2 || set.len() >= n {
+            return None;
         }
-        let w: Vec<f64> = (0..n).map(|v| 1.0 - half_deg[v]).collect();
-        let p_neg: f64 = w.iter().filter(|&&x| x < 0.0).sum();
+        let viol = violation(edges, &set);
+        (viol > tol).then_some(ViolatedSet { set, violation: viol })
+    };
 
-        let src = n;
-        let snk = n + 1;
-        let run_seed = |sc: &mut SeedScratch, s: usize| -> Option<ViolatedSet> {
-            counters.min_cut_seeds.inc();
-            sc.net.reset();
-            sc.net.set_cap(sc.seed_edges[s], f64::INFINITY);
-            let flow_start = std::time::Instant::now();
-            let flow = sc.net.max_flow(src, snk);
-            let flow_elapsed = flow_start.elapsed();
-            counters.maxflow_ns.add(flow_elapsed.as_nanos() as u64);
-            counters.maxflow_us.observe(flow_elapsed.as_micros() as u64);
-            let min_f = p_neg + flow - 1.0;
-            if min_f >= -tol {
-                return None;
-            }
-            let side = &mut sc.side;
-            sc.net.min_cut_source_side_into(src, side);
-            let set: Vec<usize> = (0..n).filter(|&v| side[v]).collect();
-            if set.len() < 2 || set.len() >= n {
-                return None;
-            }
-            let viol = violation(edges, &set);
-            (viol > tol).then_some(ViolatedSet { set, violation: viol })
-        };
-
-        let mut chunk = Vec::with_capacity(SEED_CHUNK);
-        for base in (0..n).step_by(SEED_CHUNK) {
-            chunk.clear();
-            for s in base..(base + SEED_CHUNK).min(n) {
-                let skip = prune && (comp_mass[labels[s]] <= 1.0 + tol || covered[s]);
-                if skip {
-                    pruned += 1;
-                } else {
-                    chunk.push(s);
-                }
-            }
-            if chunk.is_empty() {
-                continue;
-            }
-            let wave: Vec<Option<ViolatedSet>> = if parallel && chunk.len() > 1 {
-                parallel_map_with(
-                    chunk.len(),
-                    || self.lease(edges, &w),
-                    |lease, i| run_seed(lease.get(), chunk[i]),
-                )
+    let mut chunk = Vec::with_capacity(SEED_CHUNK);
+    for base in (0..n).step_by(SEED_CHUNK) {
+        chunk.clear();
+        for s in base..(base + SEED_CHUNK).min(n) {
+            let skip = prune && (comp_mass[labels[s]] <= 1.0 + tol || covered[s]);
+            if skip {
+                pruned += 1;
             } else {
-                let mut lease = self.lease(edges, &w);
-                chunk.iter().map(|&s| run_seed(lease.get(), s)).collect()
-            };
-            for vs in wave.into_iter().flatten() {
-                for &v in &vs.set {
-                    covered[v] = true;
-                }
-                found.insert(vs.set, vs.violation);
+                chunk.push(s);
             }
         }
-        counters.violated.add(found.len() as u64);
-        counters.seeds_pruned.add(pruned);
-        collect(found)
+        if chunk.is_empty() {
+            continue;
+        }
+        let wave: Vec<Option<ViolatedSet>> = if parallel && chunk.len() > 1 {
+            parallel_map_with(chunk.len(), || scratch.clone(), |sc, i| run_seed(sc, chunk[i]))
+        } else {
+            chunk.iter().map(|&s| run_seed(&mut scratch, s)).collect()
+        };
+        for vs in wave.into_iter().flatten() {
+            for &v in &vs.set {
+                covered[v] = true;
+            }
+            found.insert(vs.set, vs.violation);
+        }
     }
+    counters.violated.add(found.len() as u64);
+    counters.seeds_pruned.add(pruned);
+    collect(found)
 }
 
 fn collect(found: BTreeMap<Vec<usize>, f64>) -> Vec<ViolatedSet> {
@@ -552,6 +437,25 @@ mod tests {
         (obs, counters)
     }
 
+    /// The network the oracle used to cache across calls, kept as the
+    /// oracle for [`support_network`]: both node arcs for every `v`, every
+    /// instance edge even at `x_e = 0`, then the seed arcs.
+    fn full_network(n: usize, edges: &[FracEdge], w: &[f64]) -> SeedNetwork {
+        let (src, snk) = (n, n + 1);
+        let mut net = FlowNetwork::new(n + 2);
+        for (v, &wv) in w.iter().enumerate() {
+            net.add_edge(src, v, (-wv).max(0.0));
+        }
+        for (v, &wv) in w.iter().enumerate() {
+            net.add_edge(v, snk, wv.max(0.0));
+        }
+        for e in edges {
+            net.add_undirected_edge(e.u, e.v, (e.x / 2.0).max(0.0));
+        }
+        let seed_arcs = (0..n).map(|s| net.add_edge(src, s, 0.0)).collect();
+        (net, seed_arcs)
+    }
+
     #[test]
     fn spanning_tree_point_has_no_violation() {
         // A path with x = 1 on each edge satisfies all subtour constraints.
@@ -614,32 +518,9 @@ mod tests {
     fn engine_reports_violation_amounts() {
         let (_obs, counters) = detached_counters();
         let edges = vec![fe(0, 1, 0.9), fe(1, 2, 0.9), fe(0, 2, 0.9), fe(0, 3, 0.3)];
-        let mut oracle = SeedOracle::new();
-        let sets = oracle.separate(4, &edges, 1e-7, false, false, &counters);
+        let sets = separate(4, &edges, 1e-7, false, false, &counters);
         let tri = sets.iter().find(|vs| vs.set == vec![0, 1, 2]).expect("triangle separated");
         assert!((tri.violation - 0.7).abs() < 1e-9, "got {}", tri.violation);
-    }
-
-    #[test]
-    fn scratch_store_survives_and_retargets() {
-        let (_obs, counters) = detached_counters();
-        let edges = vec![fe(0, 1, 0.9), fe(1, 2, 0.9), fe(0, 2, 0.9), fe(0, 3, 0.3)];
-        let mut oracle = SeedOracle::new();
-        let first = oracle.separate(4, &edges, 1e-7, false, false, &counters);
-        assert_eq!(oracle.cached_scratches(), 1, "serial call leaves one cached network");
-
-        // Same topology, different point: the cached network is reused via
-        // delta updates and must answer exactly like a fresh oracle.
-        let moved = vec![fe(0, 1, 0.75), fe(1, 2, 0.75), fe(0, 2, 0.75), fe(0, 3, 0.75)];
-        let warm = oracle.separate(4, &moved, 1e-7, false, false, &counters);
-        let fresh = SeedOracle::new().separate(4, &moved, 1e-7, false, false, &counters);
-        assert_eq!(warm, fresh);
-        assert_ne!(warm, first);
-
-        // New topology: the store retargets (old networks dropped).
-        let other = vec![fe(0, 1, 1.0), fe(1, 2, 1.0)];
-        let _ = oracle.separate(3, &other, 1e-7, false, false, &counters);
-        assert_eq!(oracle.cached_scratches(), 1);
     }
 
     #[test]
@@ -657,8 +538,7 @@ mod tests {
             fe(2, 3, 0.2), // component mass 2.9 ≤ |C| − 1 = 3: not violated
             fe(4, 5, 0.8),
         ];
-        let mut oracle = SeedOracle::new();
-        let sets = oracle.separate(7, &edges, 1e-7, false, true, &counters);
+        let sets = separate(7, &edges, 1e-7, false, true, &counters);
         assert!(sets.iter().any(|vs| vs.set == vec![0, 1, 2]));
         // Seeds 4, 5 (light component) and 6 (singleton) pruned; all seven
         // seeds fit one wave, so the four heavy-component seeds all run.
@@ -674,8 +554,7 @@ mod tests {
         // dense-pair shortcut; seeds 0 and 1 are covered by the found set
         // and only seed 2 runs a min-cut.
         let edges = vec![fe(0, 1, 0.6), fe(0, 1, 0.6), fe(1, 2, 0.8)];
-        let mut oracle = SeedOracle::new();
-        let sets = oracle.separate(3, &edges, 1e-7, false, true, &counters);
+        let sets = separate(3, &edges, 1e-7, false, true, &counters);
         assert!(sets.iter().any(|vs| vs.set == vec![0, 1]));
         let pair = sets.iter().find(|vs| vs.set == vec![0, 1]).unwrap();
         assert!((pair.violation - 0.2).abs() < 1e-9);
@@ -688,8 +567,7 @@ mod tests {
         let (_obs, counters) = detached_counters();
         // Pair mass exactly 1.0 is tight, not violated.
         let edges = vec![fe(0, 1, 0.5), fe(0, 1, 0.5), fe(1, 2, 1.0)];
-        let mut oracle = SeedOracle::new();
-        let sets = oracle.separate(3, &edges, 1e-7, false, true, &counters);
+        let sets = separate(3, &edges, 1e-7, false, true, &counters);
         assert!(sets.is_empty(), "tight pair must not be reported: {sets:?}");
     }
 
@@ -705,8 +583,7 @@ mod tests {
         edges.push(fe(15, 16, 0.9));
         edges.push(fe(16, 17, 0.9));
         edges.push(fe(15, 17, 0.9));
-        let mut oracle = SeedOracle::new();
-        let sets = oracle.separate(18, &edges, 1e-7, false, true, &counters);
+        let sets = separate(18, &edges, 1e-7, false, true, &counters);
         assert!(sets.iter().any(|vs| vs.set == vec![15, 16, 17]));
         assert_eq!(obs.registry().counter("sep.seeds_pruned").get(), 2, "wave-2 seeds covered");
         assert_eq!(obs.registry().counter("sep.min_cut_seeds").get(), 16);
@@ -789,6 +666,36 @@ mod tests {
             edges.iter().all(|e| e.x <= 1.0 + 1e-9).then_some(edges)
         }
 
+        /// A point shaped like the LP's extreme points: most instance
+        /// edges sit at exactly 0 (draws above 115) and a few at
+        /// round-off sizes `10⁻¹ … 10⁻¹⁵` (draws 101–115, on both sides of
+        /// Dinic's `1e-12` and of the separation tolerance); the rest are
+        /// `draw / 100`. All are scaled to a mass of `n − 1` and clipped
+        /// at 1. `backbone` prepends a light path through every node, so
+        /// the support is connected and the seeded sweep answers instead
+        /// of the component pre-check.
+        fn sparse_point(n: usize, raw: Vec<(usize, usize, u32)>, backbone: bool) -> Vec<FracEdge> {
+            let value = |r: u32| match r {
+                0..=100 => r as f64 / 100.0,
+                101..=115 => 10f64.powi(100 - r as i32),
+                _ => 0.0,
+            };
+            let path = (0..n - 1).filter(|_| backbone).map(|v| (v, v + 1, 5));
+            let mut edges: Vec<FracEdge> = path
+                .chain(raw)
+                .filter(|&(u, v, _)| u != v)
+                .map(|(u, v, r)| fe(u, v, value(r)))
+                .collect();
+            let mass: f64 = edges.iter().map(|e| e.x).sum();
+            if mass > 0.0 {
+                let scale = (n as f64 - 1.0) / mass;
+                for e in &mut edges {
+                    e.x = (e.x * scale).min(1.0);
+                }
+            }
+            edges
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
             #[test]
@@ -817,7 +724,7 @@ mod tests {
                 let Some(edges) = normalized(n, raw) else { return Ok(()) };
                 let tol = 1e-6;
                 let (_obs, counters) = detached_counters();
-                let sets = SeedOracle::new().separate(n, &edges, tol, false, true, &counters);
+                let sets = separate(n, &edges, tol, false, true, &counters);
                 let brute = brute_violated(n, &edges, tol);
                 prop_assert_eq!(!sets.is_empty(), brute,
                     "pruning changed the feasibility verdict");
@@ -840,9 +747,42 @@ mod tests {
                 // The pruned engine is wave-chunked precisely so this holds
                 // with pruning too.
                 let (_obs, counters) = detached_counters();
-                let ser = SeedOracle::new().separate(n, &edges, 1e-6, false, true, &counters);
-                let par = SeedOracle::new().separate(n, &edges, 1e-6, true, true, &counters);
+                let ser = separate(n, &edges, 1e-6, false, true, &counters);
+                let par = separate(n, &edges, 1e-6, true, true, &counters);
                 prop_assert_eq!(ser, par);
+            }
+
+            #[test]
+            fn support_network_matches_the_full_network(
+                raw in proptest::collection::vec((0usize..20, 0usize..20, 0u32..=300), 10..90),
+                backbone in any::<bool>(),
+            ) {
+                let n = 20;
+                let edges = sparse_point(n, raw, backbone);
+                let tol = 1e-7;
+                // Seed by seed: the same flow value and the same cut side.
+                let w = node_weights(n, &edges);
+                let (mut sup, sup_seeds) = support_network(n, &edges, &w);
+                let (mut full, full_seeds) = full_network(n, &edges, &w);
+                for s in 0..n {
+                    sup.reset();
+                    sup.set_cap(sup_seeds[s], f64::INFINITY);
+                    full.reset();
+                    full.set_cap(full_seeds[s], f64::INFINITY);
+                    let (a, b) = (sup.max_flow(n, n + 1), full.max_flow(n, n + 1));
+                    prop_assert!(a == b, "seed {}: flow {} vs {}", s, a, b);
+                    prop_assert_eq!(sup.min_cut_source_side(n), full.min_cut_source_side(n));
+                }
+                // Whole sweeps: the same sets with bit-identical violations.
+                for (prune, parallel) in [(false, false), (false, true), (true, false), (true, true)] {
+                    let (_obs, counters) = detached_counters();
+                    let got = separate(n, &edges, tol, parallel, prune, &counters);
+                    let want = separate_on(full_network, n, &edges, tol, parallel, prune, &counters);
+                    let bits = |sets: &[ViolatedSet]| -> Vec<(Vec<usize>, u64)> {
+                        sets.iter().map(|vs| (vs.set.clone(), vs.violation.to_bits())).collect()
+                    };
+                    prop_assert_eq!(bits(&got), bits(&want), "prune {} parallel {}", prune, parallel);
+                }
             }
 
             #[test]
@@ -870,13 +810,13 @@ mod tests {
 
     #[test]
     fn parallel_path_used_above_threshold() {
-        // A big cycle: x = 1 on every edge of a 40-cycle violates the
+        // A big cycle: x = 1 on every edge of an n-cycle violates the
         // subtour bound on the full... no — S = V attains exactly 0; put
-        // the cycle on a 39-node subset and attach the last node by a
-        // fractional edge so total mass is n − 1.
-        let n = 40usize;
+        // the cycle on an (n − 1)-node subset and attach the last node by
+        // a fractional edge so total mass is n − 1.
+        let n = PARALLEL_SEP_THRESHOLD;
         let mut edges: Vec<FracEdge> = (0..n - 1).map(|v| fe(v, (v + 1) % (n - 1), 1.0)).collect();
-        // mass so far = 39 = n − 1; steal mass from one cycle edge for the
+        // mass so far = n − 1; steal mass from one cycle edge for the
         // attachment so the equality still holds.
         edges[0].x = 0.5;
         edges.push(fe(0, n - 1, 0.5));

@@ -17,7 +17,8 @@
 //! - **Certificate**: a current case reporting `verified: false` (LC missed
 //!   on the returned tree, or an IRA guard removal) fails.
 //! - **Acceptance floor**: every current case at n ≥ 160 whose baseline
-//!   recorded a single-cut run (the `single` block of schema ≤ 4) must show
+//!   recorded a single-cut run (the `single` block of schema ≤ 4, kept by
+//!   hand for rand-160 in the committed schema-5 baseline) must show
 //!   the engine win DESIGN.md §10 claims — ≥ 3× fewer cut rounds and ≥ 2×
 //!   less wall time than that recorded run.
 //! - **Storm rung**: the current `storm` block's `all_typed` and
@@ -216,8 +217,10 @@ fn throughput_verdict(b: f64, c: f64) -> Verdict {
 }
 
 /// The DESIGN.md §10 acceptance floor for one case at n ≥ 160, against the
-/// single-cut run the baseline recorded. Baselines without a `single`
-/// block (schema 5 onward) carry no floor.
+/// single-cut run the baseline recorded. `bench-perf` no longer writes a
+/// `single` block, so a case carries a floor only where its baseline has
+/// one by hand: the committed `BENCH_ira.json` keeps rand-160's recorded
+/// block, copied verbatim from the version-4 file it replaced.
 fn acceptance_floor(report: &mut TrendReport, name: &str, base: &Json, cur: &Json) {
     let n = cur.get("n").and_then(Json::as_f64).unwrap_or(0.0);
     if n < ACCEPTANCE_N || base.get("single").is_none_or(|s| !s.is_obj()) {
@@ -525,14 +528,15 @@ mod tests {
         assert!(report.failures.iter().any(|f| f.contains("round_ratio")));
         assert!(report.failures.iter().any(|f| f.contains("single_speedup")));
 
-        // The committed baseline recorded single-cut at rand-160 (219
-        // rounds, 37.2 s) next to the engine (51 rounds, 8.7 s).
+        // The committed baseline keeps the single-cut run recorded at
+        // rand-160 (219 rounds, 37.2 s) next to the engine (66 rounds,
+        // 2.2 s).
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ira.json");
         let committed = parse(&std::fs::read_to_string(path).unwrap()).unwrap();
         let report = trend(&committed, &committed, &[]);
         assert!(report.passed(), "{:?}", report.failures);
-        assert!(report.notes.iter().any(|n| n.starts_with("rand-160: round_ratio 4.29")));
-        assert!(report.notes.iter().any(|n| n.starts_with("rand-160: single_speedup 4.27")));
+        assert!(report.notes.iter().any(|n| n.starts_with("rand-160: round_ratio 3.32")));
+        assert!(report.notes.iter().any(|n| n.starts_with("rand-160: single_speedup 16.95")));
     }
 
     #[test]

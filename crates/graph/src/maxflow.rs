@@ -99,29 +99,6 @@ impl FlowNetwork {
         }
     }
 
-    /// Re-declares the capacity of edge `id` (forward direction): both the
-    /// current and the declared capacity change, so the new value survives
-    /// [`FlowNetwork::reset`]. This is the delta-update API — a long-lived
-    /// network tracks a changing instance by re-declaring only the edges
-    /// whose capacity actually moved, instead of being rebuilt.
-    pub fn set_base_cap(&mut self, id: FlowEdgeId, cap: f64) {
-        debug_assert!(cap >= 0.0 && (cap.is_finite() || cap == f64::INFINITY));
-        self.edges[id].cap = cap;
-        self.edges[id].cap0 = cap;
-    }
-
-    /// As [`FlowNetwork::set_base_cap`], but for an edge added with
-    /// [`FlowNetwork::add_undirected_edge`]: both directions are
-    /// re-declared.
-    pub fn set_base_cap_undirected(&mut self, id: FlowEdgeId, cap: f64) {
-        debug_assert!(cap >= 0.0 && cap.is_finite());
-        let rev = self.edges[id].rev;
-        self.edges[id].cap = cap;
-        self.edges[id].cap0 = cap;
-        self.edges[rev].cap = cap;
-        self.edges[rev].cap0 = cap;
-    }
-
     fn bfs(&mut self, s: usize, t: usize) -> bool {
         self.level.fill(-1);
         self.queue.clear();
@@ -331,56 +308,6 @@ mod tests {
         assert!((f.max_flow(0, 2) - 5.0).abs() < 1e-9);
         f.reset();
         assert_eq!(f.max_flow(0, 2), 0.0);
-    }
-
-    #[test]
-    fn set_base_cap_survives_reset() {
-        let mut f = FlowNetwork::new(3);
-        let a = f.add_edge(0, 1, 1.0);
-        f.add_edge(1, 2, 5.0);
-        assert!((f.max_flow(0, 2) - 1.0).abs() < 1e-9);
-        f.set_base_cap(a, 3.0);
-        f.reset();
-        assert!((f.max_flow(0, 2) - 3.0).abs() < 1e-9);
-        f.reset();
-        // Still 3.0: the re-declaration is permanent, unlike set_cap.
-        assert!((f.max_flow(0, 2) - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn set_base_cap_undirected_updates_both_directions() {
-        let mut f = FlowNetwork::new(3);
-        let a = f.add_undirected_edge(0, 1, 1.0);
-        f.add_undirected_edge(1, 2, 5.0);
-        f.set_base_cap_undirected(a, 2.0);
-        f.reset();
-        assert!((f.max_flow(0, 2) - 2.0).abs() < 1e-9);
-        f.reset();
-        assert!((f.max_flow(2, 0) - 2.0).abs() < 1e-9, "reverse direction follows");
-    }
-
-    #[test]
-    fn delta_updated_network_matches_fresh_build() {
-        // The separation-oracle pattern: keep one network, re-declare only
-        // the capacities that moved, and get the same flows as a rebuild.
-        let caps_a = [1.5, 0.5, 2.0];
-        let caps_b = [1.5, 2.5, 0.25]; // edge 0 unchanged
-        let mut live = FlowNetwork::new(4);
-        let ids: Vec<FlowEdgeId> = (0..3).map(|i| live.add_edge(i, i + 1, caps_a[i])).collect();
-        let flow_a = live.max_flow(0, 3);
-        live.reset();
-        for (i, &c) in caps_b.iter().enumerate() {
-            if (c - caps_a[i]).abs() > 1e-12 {
-                live.set_base_cap(ids[i], c);
-            }
-        }
-        let flow_b = live.max_flow(0, 3);
-        let mut fresh = FlowNetwork::new(4);
-        for (i, &c) in caps_b.iter().enumerate() {
-            fresh.add_edge(i, i + 1, c);
-        }
-        assert!((flow_a - 0.5).abs() < 1e-9);
-        assert!((flow_b - fresh.max_flow(0, 3)).abs() < 1e-9);
     }
 
     #[test]

@@ -193,7 +193,7 @@ impl SolveCtx {
     }
 
     /// The hot-loop poll: cancellation and the pivot cap are checked every
-    /// call; the deadline consults the clock once per [`DEADLINE_STRIDE`]
+    /// call; the deadline consults the clock once per `DEADLINE_STRIDE`
     /// polls (and latches, so expiry is never un-observed).
     pub fn should_stop(&self, pivots: u64) -> bool {
         if self.cancelled.load(Ordering::Relaxed) || self.expired.load(Ordering::Relaxed) {

@@ -18,7 +18,7 @@
 //!   home makes the basis block triangular, `B = [[K, 0], [L, D]]` with
 //!   `D` diagonal, so
 //!   `B⁻¹ = [[K⁻¹, 0], [−D⁻¹LK⁻¹, D⁻¹]]`. The engine stores only the rows
-//!   of `K⁻¹` — one sparse row ([`SpRow`]) per *kernel* column, a basic
+//!   of `K⁻¹` — one sparse row (`SpRow`) per *kernel* column, a basic
 //!   column that is not a basic home — and forms a basic home's row of
 //!   `B⁻¹` from them on demand. Most basic columns are slacks, so the
 //!   kernel is a small corner of the basis and its rows are about as wide
@@ -312,7 +312,6 @@ pub struct IncrementalLp {
     solves_total: usize,
     warm_solves: usize,
     cold_fallbacks: usize,
-    dual_repair_pivots: usize,
     /// Optional budget/cancellation token (shared with the caller); when
     /// absent the solver's behaviour is byte-identical to the un-budgeted
     /// engine — no clock reads, no fault polls.
@@ -356,19 +355,9 @@ impl IncrementalLp {
         self.mirror.num_vars()
     }
 
-    /// Number of rows (constraints) ever added, including appended ones.
-    pub fn num_rows(&self) -> usize {
-        self.mirror.num_constraints()
-    }
-
     /// Simplex pivots performed across all solves.
     pub fn total_pivots(&self) -> usize {
         self.pivots_total
-    }
-
-    /// Solve calls performed.
-    pub fn total_solves(&self) -> usize {
-        self.solves_total
     }
 
     /// Solves that reused the previous basis (vs. cold builds).
@@ -382,12 +371,6 @@ impl IncrementalLp {
     /// not an error (results stay correct either way).
     pub fn cold_fallbacks(&self) -> usize {
         self.cold_fallbacks
-    }
-
-    /// Pivots spent inside dual-simplex repair, across all warm attempts
-    /// (including attempts later abandoned for a cold rebuild).
-    pub fn dual_repair_pivots(&self) -> usize {
-        self.dual_repair_pivots
     }
 
     /// A cold copy of the current constraint set (for fallbacks and
@@ -1237,10 +1220,7 @@ impl IncrementalLp {
             }
             self.bland = false;
             self.degenerate_run = 0;
-            let repair_start = self.pivots_total;
-            let repaired = self.dual_repair(cap);
-            self.dual_repair_pivots += self.pivots_total - repair_start;
-            repaired
+            self.dual_repair(cap)
         };
         if !repaired? {
             return Ok(LpSolution {

@@ -210,7 +210,6 @@ struct Metrics {
     parked: Counter,
     infeasible: Counter,
     queue_depth: Gauge,
-    latency_ms: Histogram,
     latency_cached_ms: Histogram,
     latency_solved_ms: Histogram,
 }
@@ -234,7 +233,6 @@ impl Metrics {
             parked: reg.counter("svc.parked"),
             infeasible: reg.counter("svc.infeasible"),
             queue_depth: reg.gauge("svc.queue_depth"),
-            latency_ms: reg.histogram("svc.latency_ms", LATENCY_BOUNDS),
             latency_cached_ms: reg.histogram("svc.latency_cached_ms", LATENCY_BOUNDS),
             latency_solved_ms: reg.histogram("svc.latency_solved_ms", LATENCY_BOUNDS),
         }
@@ -774,7 +772,6 @@ fn complete(shared: &Arc<Shared>, job: Job, out: SolveOutcome, dequeued_ns: u64)
     }
     shared.metrics.completed.inc();
     shared.obs.registry().counter(&format!("svc.outcome.{}", out.tier)).inc();
-    shared.metrics.latency_ms.observe(latency_ms.max(0.0) as u64);
     shared.metrics.latency_solved_ms.observe(latency_ms.max(0.0) as u64);
     wsn_obs::event("svc.outcome", vec![wsn_obs::field("kind", out.tier.to_string())]);
     shared.resolve(job, ServiceOutcome::Solved(out));

@@ -89,6 +89,8 @@ fn duplicate_submissions_are_served_from_the_cache() {
     assert_eq!(reg.counter("svc.cache_hits").get(), 10);
     assert_eq!(reg.counter("svc.accepted").get(), 11);
     assert_eq!(reg.counter("svc.completed").get(), 1, "one real solve serves all duplicates");
+    assert_eq!(reg.histogram("svc.latency_solved_ms", &[]).count(), 1);
+    assert_eq!(reg.histogram("svc.latency_cached_ms", &[]).count(), 10);
     let report = svc.drain();
     assert!(report.no_leaked_workers());
 }

@@ -18,11 +18,7 @@
 
 use crate::problem::MrlcInstance;
 use wsn_graph::UnionFind;
-use wsn_lp::SolveCtx;
 use wsn_model::{lifetime, AggregationTree, NodeId};
-
-/// How many branch-and-bound nodes between deadline/cancellation polls.
-const CTX_STRIDE: u64 = 512;
 
 /// Search budget.
 #[derive(Clone, Copy, Debug)]
@@ -67,7 +63,6 @@ struct Search<'a> {
     nodes: u64,
     limit: u64,
     inst: &'a MrlcInstance,
-    ctx: Option<&'a SolveCtx>,
 }
 
 impl Search<'_> {
@@ -103,11 +98,6 @@ impl Search<'_> {
         self.nodes += 1;
         if self.nodes > self.limit {
             return false; // budget exhausted; propagate
-        }
-        if let Some(ctx) = self.ctx {
-            if self.nodes.is_multiple_of(CTX_STRIDE) && (ctx.is_cancelled() || ctx.is_expired()) {
-                return false; // cooperative stop, reported as NodeLimit
-            }
         }
         if chosen.len() == self.n - 1 {
             if cost < self.best_cost - 1e-12 {
@@ -149,19 +139,6 @@ impl Search<'_> {
 
 /// Runs the exact search.
 pub fn solve_exact(inst: &MrlcInstance, config: &ExactConfig) -> ExactOutcome {
-    solve_exact_budgeted(inst, config, None)
-}
-
-/// Runs the exact search under an optional cooperative budget.
-///
-/// A cancelled or expired `ctx` stops the search at the next poll stride and
-/// reports [`ExactOutcome::NodeLimit`] — the search did not close, exactly as
-/// if the node budget had run out.
-pub fn solve_exact_budgeted(
-    inst: &MrlcInstance,
-    config: &ExactConfig,
-    ctx: Option<&SolveCtx>,
-) -> ExactOutcome {
     let net = inst.network();
     let model = inst.model();
     let n = net.n();
@@ -203,7 +180,6 @@ pub fn solve_exact_budgeted(
         nodes: 0,
         limit: config.node_limit,
         inst,
-        ctx,
     };
     let mut chosen = Vec::with_capacity(n - 1);
     let mut deg = vec![0usize; n];

@@ -239,10 +239,9 @@ pub struct CutLp {
     counters: SepCounters,
     state: Option<WarmState>,
     metrics: CutLpMetrics,
-    /// Budget/cancellation token (and fault injector). `None` — the
-    /// default — leaves every hot path byte-identical to the unbudgeted
-    /// engine.
-    ctx: Option<Arc<SolveCtx>>,
+    /// Budget/cancellation token and fault injector; unlimited unless
+    /// [`CutLp::set_ctx`] installs one.
+    ctx: Arc<SolveCtx>,
     /// The solver a unit test swapped in for the engine (`reference`).
     #[cfg(test)]
     reference: reference::Reference,
@@ -265,25 +264,20 @@ impl CutLp {
             counters: SepCounters::from_registry(reg),
             state: None,
             metrics: CutLpMetrics::from_registry(reg),
-            ctx: None,
+            ctx: SolveCtx::unlimited(),
             #[cfg(test)]
             reference: reference::Reference::Engine,
         }
     }
 
-    /// Installs (or clears) the budget/cancellation context, propagating
-    /// it into the live warm LP so a context set mid-sequence still
-    /// governs every subsequent pivot.
-    pub fn set_ctx(&mut self, ctx: Option<Arc<SolveCtx>>) {
-        self.ctx = ctx.clone();
+    /// Installs the budget/cancellation context, propagating it into the
+    /// live warm LP so a context set mid-sequence still governs every
+    /// subsequent pivot.
+    pub fn set_ctx(&mut self, ctx: Arc<SolveCtx>) {
         if let Some(state) = &mut self.state {
-            state.lp.set_ctx(ctx);
+            state.lp.set_ctx(ctx.clone());
         }
-    }
-
-    /// The installed budget context, if any.
-    pub fn ctx(&self) -> Option<&Arc<SolveCtx>> {
-        self.ctx.as_ref()
+        self.ctx = ctx;
     }
 
     /// LP solves performed by this instance.
@@ -328,7 +322,7 @@ impl CutLp {
         (self.metrics.cuts_batched.get() - self.metrics.base[7]) as usize
     }
 
-    /// Min-cut seeds skipped by the pruning short-circuits.
+    /// Min-cut seeds skipped by the covered-seed rule.
     pub fn seeds_pruned(&self) -> usize {
         (self.metrics.seeds_pruned.get() - self.metrics.base[8]) as usize
     }
@@ -372,20 +366,18 @@ impl CutLp {
         frac: &[FracEdge],
         round: usize,
     ) -> Result<usize, CutLpError> {
-        if let Some(ctx) = &self.ctx {
-            if ctx.poll_fault(FaultKind::OracleTimeout) {
-                // The injected fault mimics a real oracle deadline: the
-                // whole solve is cancelled cooperatively and unwinds as
-                // an interruption, never a panic.
-                ctx.cancel();
-                if let Some(obs) = wsn_obs::current() {
-                    obs.registry().counter("sep.fault.oracle_timeout").inc();
-                    wsn_obs::warn("sep.fault", vec![wsn_obs::field("kind", "oracle_timeout")]);
-                }
+        if self.ctx.poll_fault(FaultKind::OracleTimeout) {
+            // The injected fault mimics a real oracle deadline: the
+            // whole solve is cancelled cooperatively and unwinds as
+            // an interruption, never a panic.
+            self.ctx.cancel();
+            if let Some(obs) = wsn_obs::current() {
+                obs.registry().counter("sep.fault.oracle_timeout").inc();
+                wsn_obs::warn("sep.fault", vec![wsn_obs::field("kind", "oracle_timeout")]);
             }
-            if ctx.is_cancelled() || ctx.is_expired() {
-                return Err(CutLpError::Interrupted);
-            }
+        }
+        if self.ctx.is_cancelled() || self.ctx.is_expired() {
+            return Err(CutLpError::Interrupted);
         }
         #[cfg(test)]
         if let Some(result) = self.separate_reference(n, frac, round) {
@@ -609,10 +601,9 @@ impl CutLp {
         }
 
         for round in 0..MAX_CUT_ROUNDS {
-            if let Some(ctx) = &self.ctx {
-                if ctx.is_cancelled() || ctx.is_expired() || ctx.round_cap_hit(round as u64) {
-                    return Err(CutLpError::Interrupted);
-                }
+            let ctx = &self.ctx;
+            if ctx.is_cancelled() || ctx.is_expired() || ctx.round_cap_hit(round as u64) {
+                return Err(CutLpError::Interrupted);
             }
             self.metrics.lp_solves.inc();
             self.metrics.cut_rounds.inc();

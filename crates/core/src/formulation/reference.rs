@@ -14,7 +14,7 @@
 use super::{lift, CutLp, CutLpError, CutLpOutcome, LpEdge, MAX_CUT_ROUNDS, SEP_TOL};
 use crate::cutpool::select_batch;
 use crate::separation::{self, FracEdge, PARALLEL_SEP_THRESHOLD};
-use wsn_lp::{FaultKind, LpProblem, LpStatus, Relation, VarId};
+use wsn_lp::{LpProblem, LpStatus, Relation, VarId};
 
 /// Which solver a test-built [`CutLp`] runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,11 +101,6 @@ impl CutLp {
             .collect();
 
         for round in 0..MAX_CUT_ROUNDS {
-            if let Some(ctx) = &self.ctx {
-                if ctx.is_cancelled() || ctx.is_expired() || ctx.round_cap_hit(round as u64) {
-                    return Err(CutLpError::Interrupted);
-                }
-            }
             let mut lp = LpProblem::new();
             let vars: Vec<VarId> = edges.iter().map(|e| lp.add_unit_var(e.cost)).collect();
 
@@ -138,20 +133,12 @@ impl CutLp {
                 }
             }
 
-            if let Some(ctx) = &self.ctx {
-                if ctx.poll_fault(FaultKind::PoisonCut) {
-                    // The validating model builder rejects non-finite rows
-                    // at insertion, so the injected poison surfaces as the
-                    // sentinel's typed error.
-                    return Err(CutLpError::Lp(wsn_lp::LpError::Numerical));
-                }
-            }
             self.metrics.lp_solves.inc();
             self.metrics.cut_rounds.inc();
             let lp_start = std::time::Instant::now();
             let sol = {
                 let _span = wsn_obs::span_with("lp-solve", vec![wsn_obs::field("round", round)]);
-                wsn_lp::solve_with_ctx(&lp, self.ctx.as_deref()).map_err(lift)?
+                lp.solve().map_err(lift)?
             };
             self.metrics.lp_ns.add(lp_start.elapsed().as_nanos() as u64);
             self.metrics.pivots.add(sol.iterations as u64);

@@ -62,8 +62,8 @@ pub struct IraStats {
     /// Cuts added beyond the first of their round (the batching win over
     /// the single-cut baseline).
     pub cuts_batched: usize,
-    /// Min-cut seeds skipped by the component-bound and covered-seed
-    /// pruning short-circuits.
+    /// Min-cut seeds skipped because a set found earlier in the same
+    /// separation call already covered them.
     pub seeds_pruned: usize,
 }
 
@@ -128,7 +128,7 @@ pub struct IraSolution {
 
 /// Runs Algorithm 1 on an instance.
 pub fn solve_ira(inst: &MrlcInstance, config: &IraConfig) -> Result<IraSolution, IraError> {
-    solve_ira_impl(inst, config, None, CutLp::new)
+    solve_ira_budgeted(inst, config, &SolveCtx::unlimited())
 }
 
 /// As [`solve_ira`], under a budget/cancellation context. Budget expiry
@@ -139,17 +139,17 @@ pub fn solve_ira_budgeted(
     config: &IraConfig,
     ctx: &Arc<SolveCtx>,
 ) -> Result<IraSolution, IraError> {
-    solve_ira_impl(inst, config, Some(ctx), CutLp::new)
+    solve_ira_impl(inst, config, ctx, CutLp::new)
 }
 
 /// Continues an interrupted solve from its checkpoint: the warm basis,
 /// the cut pool and the constraint-removal state all pick up where they
-/// stopped. A `None` context removes all limits for the continuation.
+/// stopped, under `ctx` ([`SolveCtx::unlimited`] removes all limits).
 pub fn resume_ira(
     inst: &MrlcInstance,
     config: &IraConfig,
     checkpoint: IraCheckpoint,
-    ctx: Option<&Arc<SolveCtx>>,
+    ctx: &Arc<SolveCtx>,
 ) -> Result<IraSolution, IraError> {
     let IraCheckpoint { state, remaining } = checkpoint;
     run_attempts(inst, config, ctx, Some(state), remaining, CutLp::new)
@@ -161,7 +161,7 @@ pub fn resume_ira(
 fn solve_ira_impl(
     inst: &MrlcInstance,
     config: &IraConfig,
-    ctx: Option<&Arc<SolveCtx>>,
+    ctx: &Arc<SolveCtx>,
     new_lp: fn() -> CutLp,
 ) -> Result<IraSolution, IraError> {
     let net = inst.network();
@@ -215,7 +215,7 @@ fn solve_ira_impl(
 fn run_attempts(
     inst: &MrlcInstance,
     config: &IraConfig,
-    ctx: Option<&Arc<SolveCtx>>,
+    ctx: &Arc<SolveCtx>,
     resume: Option<AttemptState>,
     attempts: Vec<(f64, bool)>,
     new_lp: fn() -> CutLp,
@@ -317,7 +317,7 @@ impl IraCheckpoint {
 fn attempt(
     inst: &MrlcInstance,
     config: &IraConfig,
-    ctx: Option<&Arc<SolveCtx>>,
+    ctx: &Arc<SolveCtx>,
     start: Start,
     new_lp: fn() -> CutLp,
 ) -> Result<IraSolution, AttemptError> {
@@ -375,13 +375,11 @@ fn attempt(
             }
         }
     };
-    st.cut.set_ctx(ctx.cloned());
+    st.cut.set_ctx(ctx.clone());
 
     while st.w_set.iter().any(|&b| b) {
-        if let Some(ctx) = ctx {
-            if ctx.is_cancelled() || ctx.is_expired() {
-                return Err(AttemptError::Interrupted(Box::new(st)));
-            }
+        if ctx.is_cancelled() || ctx.is_expired() {
+            return Err(AttemptError::Interrupted(Box::new(st)));
         }
         st.stats.iterations += 1;
 
@@ -718,7 +716,7 @@ mod tests {
         let lc = lifetime::node_lifetime(3000.0, &model, 4) * 0.999;
         let inst = MrlcInstance::new(net, model, lc).unwrap();
         let warm = solve_ira(&inst, &IraConfig::default()).unwrap();
-        let cold = solve_ira_impl(&inst, &IraConfig::default(), None, || {
+        let cold = solve_ira_impl(&inst, &IraConfig::default(), &SolveCtx::unlimited(), || {
             CutLp::reference(Reference::Cold)
         })
         .unwrap();
@@ -920,7 +918,8 @@ mod tests {
                 let lc = max_l * frac;
                 let inst = MrlcInstance::new(
                     inst0.network().clone(), *inst0.model(), lc).unwrap();
-                let single = solve_ira_impl(&inst, &IraConfig::default(), None, || {
+                let ctx = SolveCtx::unlimited();
+                let single = solve_ira_impl(&inst, &IraConfig::default(), &ctx, || {
                     CutLp::reference(Reference::SingleCut)
                 });
                 match (solve_ira(&inst, &IraConfig::default()), single) {

@@ -59,7 +59,7 @@ pub mod verify;
 
 pub use bounds::{lifetime_bounds, LifetimeBounds};
 pub use cutpool::CutPool;
-pub use exact::{solve_exact, solve_exact_budgeted, ExactConfig, ExactOutcome};
+pub use exact::{solve_exact, ExactConfig, ExactOutcome};
 pub use formulation::{CutLp, CutLpOutcome};
 pub use ira::{
     resume_ira, solve_ira, solve_ira_budgeted, IraCheckpoint, IraConfig, IraError, IraSolution,

@@ -190,7 +190,7 @@ pub fn solve_resilient_ctx(
 
     let from_checkpoint = resume_from.is_some();
     let first = match resume_from {
-        Some(cp) => resume_ira(inst, &config.ira, *cp, Some(ctx)),
+        Some(cp) => resume_ira(inst, &config.ira, *cp, ctx),
         None => solve_ira_budgeted(inst, &config.ira, ctx),
     };
 
@@ -219,7 +219,7 @@ pub fn solve_resilient_ctx(
             record_degrade("interrupted", cp.iterations());
             let resume_ctx =
                 sub_budget(&budget, config.resume_fraction).start_with_clock(ctx.time_source());
-            match resume_ira(inst, &config.ira, *cp, Some(&resume_ctx)) {
+            match resume_ira(inst, &config.ira, *cp, &resume_ctx) {
                 Ok(sol) if sol.meets_lc => Ok(ResilientRun::Done(finish(
                     sol,
                     SolveTier::Resumed,

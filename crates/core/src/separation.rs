@@ -33,31 +33,26 @@
 //! Results are merged through a `BTreeMap`, so the parallel and serial
 //! paths return **identical** output (a property the proptests pin down).
 //!
+//! Before any min-cut, a **disconnected-support pre-check** answers the
+//! call when the support (`x_e > tol`) splits into components and one of
+//! them violates the subtour bound as a whole. On an LP point it always
+//! does: `x(E(V)) = |V| − 1` and at most `tol` per crossing edge leave the
+//! `k ≥ 2` components an excess of about `k − 1`, so the seeded sweep
+//! only ever runs on a connected support.
+//!
 //! With pruning enabled (the `prune` argument of [`separate`], which the
-//! cutting-plane loop always sets) three sound short-circuits cut the
-//! per-call min-cut count well below `n`:
-//!
-//! * **component pre-check bound** — a violated set within a support
-//!   component `C` needs `x(E(S)) > |S| − 1 ≥ 1`, and any violated set
-//!   spanning several components implies a violated set inside one of
-//!   them; components with `x(E(C)) ≤ 1 + tol` (singletons included:
-//!   their mass is 0) therefore contain no violated set and all their
-//!   seeds are skipped;
-//! * **dense-pair shortcut** — a vertex pair whose aggregated edge mass
-//!   exceeds `1 + tol` is itself a violated set and is reported without
-//!   any min-cut;
-//! * **covered-seed skip** — seeds already contained in a violated set
-//!   found earlier this call are skipped. Seeds are processed in
-//!   fixed-width waves of 16 (`SEED_CHUNK`) so the serial and parallel
-//!   paths skip exactly the same seeds.
-//!
-//! Skipping a covered seed can suppress *additional* violated sets, never
-//! all of them: whenever a violated set exists, one within a single heavy
-//! component exists, and that component's first uncovered seed finds a
-//! violated set (or is covered because one was already found). The oracle
-//! therefore still returns a nonempty result iff the point is infeasible.
+//! cutting-plane loop always sets) one sound short-circuit cuts the
+//! per-call min-cut count below `n`: the **covered-seed skip** passes
+//! over seeds already contained in a violated set found earlier this
+//! call. Seeds are processed in fixed-width waves of 16 (`SEED_CHUNK`) so
+//! the serial and parallel paths skip exactly the same seeds. Skipping a
+//! covered seed can suppress *additional* violated sets, never all of
+//! them: a seed is covered only once a violated set was found, and the
+//! first seed inside a violated set that is not covered finds one. The
+//! oracle therefore still returns a nonempty result iff the point is
+//! infeasible.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use wsn_graph::{components, FlowEdgeId, FlowNetwork};
 use wsn_obs::{Counter, Histogram, Registry};
 use wsn_util::parallel_map_with;
@@ -231,17 +226,17 @@ fn separate_on(
     let support: Vec<(usize, usize)> =
         edges.iter().filter(|e| e.x > tol).map(|e| (e.u, e.v)).collect();
     let (labels, k) = components(n, support.iter().copied());
-    let mut comp_mass = vec![0.0f64; k];
-    let mut comp_size = vec![0usize; k];
-    for e in edges {
-        if labels[e.u] == labels[e.v] {
-            comp_mass[labels[e.u]] += e.x;
-        }
-    }
-    for v in 0..n {
-        comp_size[labels[v]] += 1;
-    }
     if k > 1 {
+        let mut comp_mass = vec![0.0f64; k];
+        let mut comp_size = vec![0usize; k];
+        for e in edges {
+            if labels[e.u] == labels[e.v] {
+                comp_mass[labels[e.u]] += e.x;
+            }
+        }
+        for &l in &labels {
+            comp_size[l] += 1;
+        }
         for comp in 0..k {
             let viol = comp_mass[comp] - (comp_size[comp] as f64 - 1.0);
             if comp_size[comp] >= 2 && viol > tol {
@@ -255,28 +250,9 @@ fn separate_on(
         }
     }
 
-    // --- Pruning pre-passes. ---
+    // --- Exact oracle: one min-cut per uncovered seed. ---
     let mut covered = vec![false; n];
     let mut pruned = 0u64;
-    if prune {
-        // Dense pairs: aggregated mass above 1 + tol is a violation of
-        // the two-element subtour bound, no min-cut needed.
-        let mut pair_mass: HashMap<(usize, usize), f64> = HashMap::new();
-        for e in edges {
-            if e.u != e.v {
-                *pair_mass.entry((e.u.min(e.v), e.u.max(e.v))).or_insert(0.0) += e.x;
-            }
-        }
-        for (&(u, v), &m) in &pair_mass {
-            if m > 1.0 + tol {
-                found.insert(vec![u, v], m - 1.0);
-                covered[u] = true;
-                covered[v] = true;
-            }
-        }
-    }
-
-    // --- Exact oracle: one min-cut per surviving seed. ---
     let w = node_weights(n, edges);
     let p_neg: f64 = w.iter().filter(|&&x| x < 0.0).sum();
     let (net, seed_arcs) = build(n, edges, &w);
@@ -310,15 +286,10 @@ fn separate_on(
 
     let mut chunk = Vec::with_capacity(SEED_CHUNK);
     for base in (0..n).step_by(SEED_CHUNK) {
+        let end = (base + SEED_CHUNK).min(n);
         chunk.clear();
-        for s in base..(base + SEED_CHUNK).min(n) {
-            let skip = prune && (comp_mass[labels[s]] <= 1.0 + tol || covered[s]);
-            if skip {
-                pruned += 1;
-            } else {
-                chunk.push(s);
-            }
-        }
+        chunk.extend((base..end).filter(|&s| !(prune && covered[s])));
+        pruned += (end - base - chunk.len()) as u64;
         if chunk.is_empty() {
             continue;
         }
@@ -524,46 +495,7 @@ mod tests {
     }
 
     #[test]
-    fn component_bound_prunes_light_components_and_singletons() {
-        let (obs, counters) = detached_counters();
-        // No support component is violated *as a whole* (so the
-        // disconnected-support pre-check falls through), but component
-        // {0,1,2,3} hides a violated triangle. The light pendant pair
-        // {4,5} (mass 0.8 ≤ 1) and the singleton {6} (mass 0) are pruned
-        // by the component bound without a single min-cut.
-        let edges = vec![
-            fe(0, 1, 0.9),
-            fe(1, 2, 0.9),
-            fe(0, 2, 0.9),
-            fe(2, 3, 0.2), // component mass 2.9 ≤ |C| − 1 = 3: not violated
-            fe(4, 5, 0.8),
-        ];
-        let sets = separate(7, &edges, 1e-7, false, true, &counters);
-        assert!(sets.iter().any(|vs| vs.set == vec![0, 1, 2]));
-        // Seeds 4, 5 (light component) and 6 (singleton) pruned; all seven
-        // seeds fit one wave, so the four heavy-component seeds all run.
-        assert_eq!(obs.registry().counter("sep.seeds_pruned").get(), 3);
-        assert_eq!(obs.registry().counter("sep.min_cut_seeds").get(), 4);
-    }
-
-    #[test]
-    fn dense_pair_shortcut_avoids_min_cuts_for_its_nodes() {
-        let (obs, counters) = detached_counters();
-        // Connected support (single component, so the component pre-check
-        // does not intercept). Aggregated (0,1) mass 1.2 > 1 triggers the
-        // dense-pair shortcut; seeds 0 and 1 are covered by the found set
-        // and only seed 2 runs a min-cut.
-        let edges = vec![fe(0, 1, 0.6), fe(0, 1, 0.6), fe(1, 2, 0.8)];
-        let sets = separate(3, &edges, 1e-7, false, true, &counters);
-        assert!(sets.iter().any(|vs| vs.set == vec![0, 1]));
-        let pair = sets.iter().find(|vs| vs.set == vec![0, 1]).unwrap();
-        assert!((pair.violation - 0.2).abs() < 1e-9);
-        assert_eq!(obs.registry().counter("sep.min_cut_seeds").get(), 1);
-        assert_eq!(obs.registry().counter("sep.seeds_pruned").get(), 2);
-    }
-
-    #[test]
-    fn dense_pair_shortcut_needs_strict_excess() {
+    fn tight_parallel_pair_is_not_violated() {
         let (_obs, counters) = detached_counters();
         // Pair mass exactly 1.0 is tight, not violated.
         let edges = vec![fe(0, 1, 0.5), fe(0, 1, 0.5), fe(1, 2, 1.0)];
@@ -577,8 +509,8 @@ mod tests {
         // One connected component spanning 18 nodes (> SEED_CHUNK), with a
         // heavy triangle at {15,16,17}. Wave 1 (seeds 0..16) finds the
         // triangle via seed 15; wave 2's seeds 16 and 17 are covered and
-        // skipped. The connecting path is light (0.1) so the component
-        // stays heavy only through the triangle.
+        // skipped. The connecting path is light (0.1), so no path seed
+        // finds a violated set of its own.
         let mut edges: Vec<FracEdge> = (0..15).map(|v| fe(v, v + 1, 0.1)).collect();
         edges.push(fe(15, 16, 0.9));
         edges.push(fe(16, 17, 0.9));
@@ -696,6 +628,48 @@ mod tests {
             edges
         }
 
+        /// A point shaped like the LP's: at most one edge per pair,
+        /// `x ∈ [0, 1]` and total mass `n − 1`. Draws 0–100 give `draw /
+        /// 100` and are scaled as `min(1, c·x)`, for the `c` that brings
+        /// the total to `n − 1`; draws 101–110 sit at or below `tol`
+        /// (`tol/10 … tol·10⁻¹⁰`) and are not scaled. `None` when fewer
+        /// positive draws than the mass needs remain.
+        fn lp_point(n: usize, raw: Vec<(usize, usize, u32)>, tol: f64) -> Option<Vec<FracEdge>> {
+            let mut pairs = std::collections::BTreeSet::new();
+            let mut edges: Vec<FracEdge> = raw
+                .into_iter()
+                .filter(|&(u, v, _)| u != v && pairs.insert((u.min(v), u.max(v))))
+                .map(|(u, v, r)| match r {
+                    0..=100 => fe(u, v, r as f64 / 100.0),
+                    _ => fe(u, v, tol * 10f64.powi(100 - r as i32)),
+                })
+                .collect();
+            let faint: f64 = edges.iter().filter(|e| e.x <= tol).map(|e| e.x).sum();
+            let target = n as f64 - 1.0 - faint;
+            let scaled = |c: f64| -> f64 {
+                edges.iter().filter(|e| e.x > tol).map(|e| (c * e.x).min(1.0)).sum()
+            };
+            if (edges.iter().filter(|e| e.x > tol).count() as f64) < target {
+                return None;
+            }
+            let (mut lo, mut hi) = (0.0, 1.0);
+            while scaled(hi) < target {
+                hi *= 2.0;
+            }
+            for _ in 0..100 {
+                let mid = (lo + hi) / 2.0;
+                if scaled(mid) < target {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            for e in edges.iter_mut().filter(|e| e.x > tol) {
+                e.x = (hi * e.x).min(1.0);
+            }
+            Some(edges)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
             #[test]
@@ -731,6 +705,27 @@ mod tests {
                 for vs in &sets {
                     prop_assert!(violation(&edges, &vs.set) > tol, "bogus set {:?}", vs.set);
                     prop_assert!((violation(&edges, &vs.set) - vs.violation).abs() < 1e-9);
+                }
+            }
+
+            #[test]
+            fn disconnected_support_is_answered_without_a_min_cut(
+                (n, raw) in (4usize..10).prop_flat_map(|n| {
+                    (Just(n), proptest::collection::vec((0..n, 0..n, 0u32..=110), n - 1..2 * n))
+                })
+            ) {
+                let tol = 1e-7;
+                let edges = lp_point(n, raw, tol);
+                prop_assume!(edges.is_some());
+                let edges = edges.unwrap();
+                let support = edges.iter().filter(|e| e.x > tol).map(|e| (e.u, e.v));
+                prop_assume!(components(n, support).1 > 1);
+                let (obs, counters) = detached_counters();
+                let sets = separate(n, &edges, tol, false, true, &counters);
+                prop_assert!(!sets.is_empty(), "a disconnected LP point must be cut off");
+                prop_assert_eq!(obs.registry().counter("sep.min_cut_seeds").get(), 0);
+                for vs in &sets {
+                    prop_assert!(violation(&edges, &vs.set) > tol, "bogus set {:?}", vs.set);
                 }
             }
 

@@ -1,9 +1,8 @@
 //! `bench-check trend` — the CI perf gate over two `BENCH_ira.json` files.
 //!
 //! Compares a freshly generated bench-perf run against the committed
-//! baseline (and optionally a rolling history of prior runs), assigning a
-//! typed [`Verdict`] per tracked metric and failing on hard regressions
-//! (rules in DESIGN.md §13):
+//! baseline, assigning a typed [`Verdict`] per tracked metric and failing
+//! on hard regressions (rules in DESIGN.md §13):
 //!
 //! - **Deterministic counters** (`lp_solves`, `pivots`, `cut_rounds` of the
 //!   `warm` solver block) are seeded and machine-independent, so growth
@@ -111,7 +110,7 @@ pub struct TrendLine {
 pub struct TrendReport {
     /// Per-metric verdicts, in case then metric order.
     pub lines: Vec<TrendLine>,
-    /// Informational notes (skips, history drift).
+    /// Informational notes (skipped comparisons).
     pub notes: Vec<String>,
     /// Hard failures — non-empty fails the command. Every
     /// `Verdict::Regressed { hard: true }` line has a failure here.
@@ -254,9 +253,9 @@ fn acceptance_floor(report: &mut TrendReport, name: &str, base: &Json, cur: &Jso
 const TREND_COUNTERS: [&str; 3] = ["lp_solves", "pivots", "cut_rounds"];
 const TREND_WALLS: [&str; 4] = ["wall_ms", "lp_ms", "sep_ms", "decode_ms"];
 
-/// Compares current against baseline (and optionally a rolling history of
-/// prior runs), assigning a typed [`Verdict`] per metric.
-pub fn trend(baseline: &Json, current: &Json, history: &[Json]) -> TrendReport {
+/// Compares current against baseline, assigning a typed [`Verdict`] per
+/// metric.
+pub fn trend(baseline: &Json, current: &Json) -> TrendReport {
     let mut report = TrendReport::default();
     let base_cases = cases(baseline);
     let cur_cases = cases(current);
@@ -343,83 +342,18 @@ pub fn trend(baseline: &Json, current: &Json, history: &[Json]) -> TrendReport {
         report.notes.push("storm: no storm block in current file (skipped)".to_string());
     }
 
-    // Rolling history: compare deterministic counters against the median
-    // of prior runs — a slow drift that stays inside the per-run
-    // tolerance still surfaces here (as a note, never a failure, since
-    // the baseline comparison above is the gate).
-    if history.len() >= 3 {
-        for cur in &cur_cases {
-            let name = case_name(cur);
-            for field in TREND_COUNTERS {
-                let Some(c) = counter(cur, "warm", field) else { continue };
-                let mut past: Vec<f64> = history
-                    .iter()
-                    .filter_map(|doc| {
-                        cases(doc)
-                            .iter()
-                            .find(|b| case_name(b) == name)
-                            .and_then(|b| counter(b, "warm", field))
-                    })
-                    .collect();
-                if past.len() < 3 {
-                    continue;
-                }
-                past.sort_by(|a, b| a.total_cmp(b));
-                let median = past[past.len() / 2];
-                if median > 0.0 && c > median * COUNTER_TOLERANCE {
-                    report.notes.push(format!(
-                        "{name}: warm.{field} {c:.0} drifted above history median {median:.0} \
-                         over {} run(s)",
-                        past.len()
-                    ));
-                }
-            }
-        }
-        report.notes.push(format!("history: compared against {} prior run(s)", history.len()));
-    }
-
     report
 }
 
-/// Rolling-history cap: `run_trend` keeps this many most-recent runs.
-const HISTORY_CAP: usize = 20;
-
-/// `bench-check trend` entry point: compares current vs baseline (and the
-/// rolling history JSONL when given), then appends the current run to the
-/// history. Returns the rendered report plus the pass verdict.
-pub fn run_trend(
-    baseline_path: &str,
-    current_path: &str,
-    history_path: Option<&str>,
-) -> Result<(String, bool), String> {
+/// `bench-check trend` entry point: compares current vs baseline and
+/// returns the rendered report plus the pass verdict.
+pub fn run_trend(baseline_path: &str, current_path: &str) -> Result<(String, bool), String> {
     let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"));
     let baseline =
         parse(&read(baseline_path)?).map_err(|e| format!("{baseline_path}: invalid JSON: {e}"))?;
-    let current_text = read(current_path)?;
-    let current = parse(&current_text).map_err(|e| format!("{current_path}: invalid JSON: {e}"))?;
-
-    let mut history_lines: Vec<String> = Vec::new();
-    if let Some(path) = history_path {
-        if let Ok(text) = std::fs::read_to_string(path) {
-            history_lines =
-                text.lines().filter(|l| !l.trim().is_empty()).map(String::from).collect();
-        }
-    }
-    let history: Vec<Json> = history_lines.iter().filter_map(|l| parse(l).ok()).collect();
-
-    let report = trend(&baseline, &current, &history);
-
-    if let Some(path) = history_path {
-        // One JSONL line per run, newest last, capped. The bench file is
-        // multi-line JSON; collapsing newlines keeps it one parseable line
-        // (none of its strings contain newlines).
-        history_lines.push(current_text.replace('\n', " "));
-        let start = history_lines.len().saturating_sub(HISTORY_CAP);
-        let mut out = history_lines[start..].join("\n");
-        out.push('\n');
-        std::fs::write(path, out).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-
+    let current =
+        parse(&read(current_path)?).map_err(|e| format!("{current_path}: invalid JSON: {e}"))?;
+    let report = trend(&baseline, &current);
     Ok((report.render(), report.passed()))
 }
 
@@ -452,7 +386,7 @@ mod tests {
     #[test]
     fn identical_runs_pass() {
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), ""));
-        let report = trend(&b, &b, &[]);
+        let report = trend(&b, &b);
         assert!(report.passed(), "{:?}", report.failures);
     }
 
@@ -460,7 +394,7 @@ mod tests {
     fn counter_regression_fails() {
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), ""));
         let c = doc(&case("rand-20", 20, (5, 200, 6, 10.0), ""));
-        let report = trend(&b, &c, &[]);
+        let report = trend(&b, &c);
         assert!(!report.passed());
         assert!(report.failures[0].contains("pivots"), "{:?}", report.failures);
     }
@@ -470,7 +404,7 @@ mod tests {
         // +20% on every counter: soft, inside the 25% hard wall.
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), ""));
         let c = doc(&case("rand-20", 20, (6, 120, 7, 10.0), ""));
-        let report = trend(&b, &c, &[]);
+        let report = trend(&b, &c);
         assert!(report.passed(), "{:?}", report.failures);
         assert_eq!(verdict(&report, "warm.pivots"), Verdict::Regressed { hard: false });
     }
@@ -479,11 +413,11 @@ mod tests {
     fn wall_clock_noise_warns_but_gross_blowup_fails() {
         let b = doc(&case("rand-80", 80, (5, 100, 6, 100.0), ""));
         let noisy = doc(&case("rand-80", 80, (5, 100, 6, 250.0), ""));
-        let report = trend(&b, &noisy, &[]);
+        let report = trend(&b, &noisy);
         assert!(report.passed(), "2.5x wall is runner noise: {:?}", report.failures);
         assert_eq!(verdict(&report, "warm.wall_ms"), Verdict::Regressed { hard: false });
         let gross = doc(&case("rand-80", 80, (5, 100, 6, 1000.0), ""));
-        assert!(!trend(&b, &gross, &[]).passed(), "10x wall cannot be noise");
+        assert!(!trend(&b, &gross).passed(), "10x wall cannot be noise");
     }
 
     #[test]
@@ -492,7 +426,7 @@ mod tests {
         // the noise floor the gross ratio downgrades to a warning.
         let b = doc(&case("dfl-16", 16, (2, 83, 2, 1.0), ""));
         let jittery = doc(&case("dfl-16", 16, (2, 83, 2, 9.0), ""));
-        let report = trend(&b, &jittery, &[]);
+        let report = trend(&b, &jittery);
         assert!(report.passed(), "{:?}", report.failures);
         assert_eq!(verdict(&report, "warm.wall_ms"), Verdict::Regressed { hard: false });
     }
@@ -505,7 +439,7 @@ mod tests {
             case("rand-20", 20, (5, 100, 6, 10.0), ""),
             case("rand-40", 40, (9, 400, 12, 40.0), "")
         ));
-        let report = trend(&b, &c, &[]);
+        let report = trend(&b, &c);
         assert!(report.passed(), "{:?}", report.failures);
         assert!(report.notes.iter().any(|l| l.contains("no baseline")));
     }
@@ -516,14 +450,14 @@ mod tests {
         // `single` block: 60 vs 12 rounds and 99 vs 30 ms clear 3x and 2x.
         let good = ", \"single\": {\"wall_ms\": 99.0, \"cut_rounds\": 60}";
         let b = doc(&case("rand-160", 160, (5, 100, 12, 30.0), good));
-        let report = trend(&b, &doc(&case("rand-160", 160, (5, 100, 12, 30.0), "")), &[]);
+        let report = trend(&b, &doc(&case("rand-160", 160, (5, 100, 12, 30.0), "")));
         assert!(report.passed(), "{:?}", report.failures);
         assert!(report.notes.iter().any(|n| n.contains("round_ratio 5.00")), "{report:?}");
 
         let weak = ", \"single\": {\"wall_ms\": 33.0, \"cut_rounds\": 14}";
         let b = doc(&case("rand-160", 160, (5, 100, 12, 30.0), weak));
         let c = doc(&case("rand-160", 160, (5, 100, 12, 30.0), ""));
-        let report = trend(&b, &c, &[]);
+        let report = trend(&b, &c);
         assert!(!report.passed());
         assert!(report.failures.iter().any(|f| f.contains("round_ratio")));
         assert!(report.failures.iter().any(|f| f.contains("single_speedup")));
@@ -533,7 +467,7 @@ mod tests {
         // 2.2 s).
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ira.json");
         let committed = parse(&std::fs::read_to_string(path).unwrap()).unwrap();
-        let report = trend(&committed, &committed, &[]);
+        let report = trend(&committed, &committed);
         assert!(report.passed(), "{:?}", report.failures);
         assert!(report.notes.iter().any(|n| n.starts_with("rand-160: round_ratio 3.32")));
         assert!(report.notes.iter().any(|n| n.starts_with("rand-160: single_speedup 16.95")));
@@ -543,7 +477,7 @@ mod tests {
     fn small_cases_are_exempt_from_the_floor() {
         let weak = ", \"single\": {\"wall_ms\": 10.0, \"cut_rounds\": 6}";
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), weak));
-        assert!(trend(&b, &b, &[]).passed(), "n = 20 has no acceptance floor");
+        assert!(trend(&b, &b).passed(), "n = 20 has no acceptance floor");
     }
 
     #[test]
@@ -551,7 +485,7 @@ mod tests {
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), ""));
         let bad = case("rand-20", 20, (5, 100, 6, 10.0), "")
             .replace("\"verified\": true", "\"verified\": false");
-        let report = trend(&b, &doc(&bad), &[]);
+        let report = trend(&b, &doc(&bad));
         assert!(!report.passed());
         assert!(report.failures[0].contains("failed verification"));
     }
@@ -578,15 +512,15 @@ mod tests {
     fn storm_invariants_fail_hard() {
         let c = case("rand-20", 20, (5, 100, 6, 10.0), "");
         let good = doc_with_storm(&c, &storm(1000, 100.0, 50.0, true, true));
-        assert!(trend(&good, &good, &[]).passed());
+        assert!(trend(&good, &good).passed());
 
         let hung = doc_with_storm(&c, &storm(1000, 100.0, 50.0, false, true));
-        let report = trend(&good, &hung, &[]);
+        let report = trend(&good, &hung);
         assert!(!report.passed());
         assert!(report.failures.iter().any(|f| f.contains("typed outcome")), "{report:?}");
 
         let leaky = doc_with_storm(&c, &storm(1000, 100.0, 50.0, true, false));
-        assert!(trend(&good, &leaky, &[]).failures.iter().any(|f| f.contains("leaked")));
+        assert!(trend(&good, &leaky).failures.iter().any(|f| f.contains("leaked")));
     }
 
     #[test]
@@ -594,11 +528,11 @@ mod tests {
         let c = case("rand-20", 20, (5, 100, 6, 10.0), "");
         let b = doc_with_storm(&c, &storm(1000, 100.0, 50.0, true, true));
         let noisy = doc_with_storm(&c, &storm(1000, 250.0, 30.0, true, true));
-        let report = trend(&b, &noisy, &[]);
+        let report = trend(&b, &noisy);
         assert!(report.passed(), "2.5x p99 is runner noise: {:?}", report.failures);
         assert_eq!(verdict(&report, "p99_ms"), Verdict::Regressed { hard: false });
         let gross = doc_with_storm(&c, &storm(1000, 1000.0, 5.0, true, true));
-        let report = trend(&b, &gross, &[]);
+        let report = trend(&b, &gross);
         assert!(!report.passed(), "10x p99 and throughput collapse cannot be noise");
         assert!(report.failures.iter().any(|f| f.contains("p99")));
         assert!(report.failures.iter().any(|f| f.contains("throughput")));
@@ -612,17 +546,14 @@ mod tests {
         let c = case("rand-20", 20, (5, 100, 6, 10.0), "");
         let b = doc_with_storm(&c, &storm(1000, 100.0, 36.0, true, true));
         let slow = doc_with_storm(&c, &storm(1000, 100.0, 5.0, true, true));
-        let report = trend(&b, &slow, &[]);
+        let report = trend(&b, &slow);
         assert!(!report.passed());
         assert_eq!(verdict(&report, "throughput_rps"), Verdict::Regressed { hard: true });
         // A 2x dip stays soft, a gain reads as an improvement.
         let dip = doc_with_storm(&c, &storm(1000, 100.0, 18.0, true, true));
-        assert_eq!(
-            verdict(&trend(&b, &dip, &[]), "throughput_rps"),
-            Verdict::Regressed { hard: false }
-        );
+        assert_eq!(verdict(&trend(&b, &dip), "throughput_rps"), Verdict::Regressed { hard: false });
         let fast = doc_with_storm(&c, &storm(1000, 100.0, 72.0, true, true));
-        assert_eq!(verdict(&trend(&b, &fast, &[]), "throughput_rps"), Verdict::Improved);
+        assert_eq!(verdict(&trend(&b, &fast), "throughput_rps"), Verdict::Improved);
     }
 
     #[test]
@@ -632,7 +563,7 @@ mod tests {
         // trajectory comparison is skipped.
         let b = doc_with_storm(&c, &storm(1000, 100.0, 50.0, true, true));
         let smoke = doc_with_storm(&c, &storm(150, 5000.0, 1.0, true, true));
-        let report = trend(&b, &smoke, &[]);
+        let report = trend(&b, &smoke);
         assert!(report.passed(), "{:?}", report.failures);
         assert!(report.notes.iter().any(|l| l.contains("request counts differ")));
     }
@@ -640,7 +571,7 @@ mod tests {
     #[test]
     fn v3_files_without_storm_blocks_still_check() {
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), ""));
-        let report = trend(&b, &b, &[]);
+        let report = trend(&b, &b);
         assert!(report.passed(), "{:?}", report.failures);
         assert!(report.notes.iter().any(|l| l.contains("no storm block")));
         // v3 baseline, v4 current: the invariants gate on the current file.
@@ -648,7 +579,7 @@ mod tests {
             &case("rand-20", 20, (5, 100, 6, 10.0), ""),
             &storm(150, 100.0, 10.0, true, true),
         );
-        let report = trend(&b, &c, &[]);
+        let report = trend(&b, &c);
         assert!(report.passed(), "{:?}", report.failures);
         assert!(report.notes.iter().any(|l| l.contains("no baseline storm")));
     }
@@ -667,7 +598,7 @@ mod tests {
     #[test]
     fn trend_of_identical_runs_is_flat_and_passes() {
         let b = doc(&staged_case("rand-80", (5, 100, 6, 100.0), 60.0, 30.0, 5.0));
-        let report = trend(&b, &b, &[]);
+        let report = trend(&b, &b);
         assert!(report.passed(), "{:?}", report.failures);
         assert!(!report.lines.is_empty());
         assert!(report.lines.iter().all(|l| l.verdict == Verdict::Flat), "{report:?}");
@@ -680,7 +611,7 @@ mod tests {
         // Inject a 10x pivot blowup with a matching lp_ms stage blowup,
         // while decode improves — the verdicts must come back typed.
         let c = doc(&staged_case("rand-80", (5, 1000, 6, 500.0), 450.0, 30.0, 2.0));
-        let report = trend(&b, &c, &[]);
+        let report = trend(&b, &c);
         assert!(!report.passed());
         assert_eq!(verdict(&report, "warm.pivots"), Verdict::Regressed { hard: true });
         assert_eq!(verdict(&report, "warm.lp_ms"), Verdict::Regressed { hard: true });
@@ -696,7 +627,7 @@ mod tests {
     fn trend_wall_noise_is_soft_below_the_gross_ratio() {
         let b = doc(&staged_case("rand-80", (5, 100, 6, 100.0), 60.0, 30.0, 5.0));
         let noisy = doc(&staged_case("rand-80", (5, 100, 6, 250.0), 60.0, 30.0, 5.0));
-        let report = trend(&b, &noisy, &[]);
+        let report = trend(&b, &noisy);
         assert!(report.passed(), "2.5x wall is runner noise: {:?}", report.failures);
         assert_eq!(verdict(&report, "warm.wall_ms"), Verdict::Regressed { hard: false });
     }
@@ -706,52 +637,11 @@ mod tests {
         let c = case("rand-20", 20, (5, 100, 6, 10.0), "");
         let b = doc_with_storm(&c, &storm(1000, 100.0, 50.0, true, true));
         let hung = doc_with_storm(&c, &storm(1000, 100.0, 50.0, false, true));
-        assert!(!trend(&b, &hung, &[]).passed());
+        assert!(!trend(&b, &hung).passed());
         let gross = doc_with_storm(&c, &storm(1000, 1000.0, 50.0, true, true));
-        let report = trend(&b, &gross, &[]);
+        let report = trend(&b, &gross);
         assert!(!report.passed());
         assert_eq!(verdict(&report, "p99_ms"), Verdict::Regressed { hard: true });
-    }
-
-    #[test]
-    fn trend_notes_drift_against_the_history_median() {
-        let mk = |pivots: u64| doc(&staged_case("rand-80", (5, pivots, 6, 100.0), 60.0, 30.0, 5.0));
-        // Baseline already crept up, so current-vs-baseline stays flat —
-        // only the history median exposes the slow drift.
-        let history = vec![mk(100), mk(102), mk(104)];
-        let report = trend(&mk(130), &mk(132), &history);
-        assert!(report.passed(), "{:?}", report.failures);
-        assert!(
-            report.notes.iter().any(|n| n.contains("drifted above history median")),
-            "{report:?}"
-        );
-    }
-
-    #[test]
-    fn run_trend_appends_the_rolling_history() {
-        let dir = std::env::temp_dir().join(format!("wsn-trend-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
-        let doc_text = format!(
-            "{{\"suite\": \"bench-perf\", \"schema_version\": 4, \"smoke\": false,\n \
-             \"cases\": [{}]}}",
-            staged_case("rand-80", (5, 100, 6, 100.0), 60.0, 30.0, 5.0)
-        );
-        std::fs::write(path("base.json"), &doc_text).unwrap();
-        std::fs::write(path("cur.json"), &doc_text).unwrap();
-        let hist = path("history.jsonl");
-        for _ in 0..2 {
-            let (text, passed) =
-                run_trend(&path("base.json"), &path("cur.json"), Some(&hist)).unwrap();
-            assert!(passed, "{text}");
-        }
-        let lines: Vec<String> =
-            std::fs::read_to_string(&hist).unwrap().lines().map(String::from).collect();
-        assert_eq!(lines.len(), 2, "one history line per run");
-        for l in &lines {
-            parse(l).expect("each history line is one parseable JSON doc");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -762,6 +652,6 @@ mod tests {
         let cur_extra = ", \"single\": {\"wall_ms\": 30.0, \"cut_rounds\": 18}, \
                         \"round_ratio\": 3.00, \"single_speedup\": 3.00";
         let c = doc(&case("rand-20", 20, (5, 100, 6, 10.0), cur_extra));
-        assert!(trend(&b, &c, &[]).passed());
+        assert!(trend(&b, &c).passed());
     }
 }

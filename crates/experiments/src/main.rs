@@ -7,7 +7,7 @@
 //! mrlc-experiments bench-perf [--smoke] [--out=PATH]   # writes BENCH_ira.json
 //! mrlc-experiments serve-storm [--fast] [--json]   # solve-service fleet throughput/p99
 //! mrlc-experiments serve-chaos            # seeded worker-kill storm (CI smoke)
-//! mrlc-experiments bench-check trend <baseline.json> <current.json> [--history=H.jsonl]  # CI perf gate
+//! mrlc-experiments bench-check trend <baseline.json> <current.json>  # CI perf gate
 //! mrlc-experiments fig8 --trace t.jsonl --metrics m.json   # instrumented run
 //! mrlc-experiments obs-report t.jsonl [w2.jsonl ...] [--metrics=m.json] [--top=N]  # summarize (merges >1)
 //! mrlc-experiments obs-report hotspots t.jsonl [w2.jsonl ...] [--top=N] [--folded]
@@ -31,7 +31,6 @@ struct Cli {
     out_path: String,
     trace_path: Option<String>,
     metrics_path: Option<String>,
-    history_path: Option<String>,
     dump_dir: Option<String>,
     top_k: usize,
     positional: Vec<String>,
@@ -46,7 +45,6 @@ fn parse_cli(raw: &[String]) -> Result<Cli, String> {
         out_path: "BENCH_ira.json".to_string(),
         trace_path: None,
         metrics_path: None,
-        history_path: None,
         dump_dir: None,
         top_k: 20,
         positional: Vec::new(),
@@ -70,8 +68,6 @@ fn parse_cli(raw: &[String]) -> Result<Cli, String> {
             cli.json = true;
         } else if arg == "--folded" {
             cli.folded = true;
-        } else if arg == "--history" || arg.starts_with("--history=") {
-            cli.history_path = Some(value_of("--history", &mut i)?);
         } else if arg == "--dump-dir" || arg.starts_with("--dump-dir=") {
             cli.dump_dir = Some(value_of("--dump-dir", &mut i)?);
         } else if arg == "--out" || arg.starts_with("--out=") {
@@ -114,13 +110,10 @@ fn main() {
             cli.positional.get(2),
             cli.positional.get(3),
         ) else {
-            eprintln!(
-                "usage: mrlc-experiments bench-check trend <baseline.json> <current.json> \
-                 [--history=H.jsonl]"
-            );
+            eprintln!("usage: mrlc-experiments bench-check trend <baseline.json> <current.json>");
             std::process::exit(2);
         };
-        match bench_check::run_trend(baseline, current, cli.history_path.as_deref()) {
+        match bench_check::run_trend(baseline, current) {
             Ok((text, passed)) => {
                 print!("{text}");
                 if !passed {
@@ -385,7 +378,7 @@ fn main() {
         other => {
             eprintln!("unknown figure `{other}`");
             eprintln!(
-                "usage: mrlc-experiments [all|fig1..fig13|ablation|pareto|optgap|latency|drift|spatial|solvers|stability|scalability|faults|resilience|serve-storm|serve-chaos|bench-perf|bench-check|obs-report] [--fast|--smoke] [--out=PATH] [--trace=PATH] [--metrics=PATH] [--history=PATH] [--dump-dir=DIR] [--folded]"
+                "usage: mrlc-experiments [all|fig1..fig13|ablation|pareto|optgap|latency|drift|spatial|solvers|stability|scalability|faults|resilience|serve-storm|serve-chaos|bench-perf|bench-check|obs-report] [--fast|--smoke] [--out=PATH] [--trace=PATH] [--metrics=PATH] [--dump-dir=DIR] [--folded]"
             );
             std::process::exit(2);
         }

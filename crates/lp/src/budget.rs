@@ -12,10 +12,15 @@
 //! chaos test suite: each [`FaultKind`] has a one-shot countdown cell that
 //! fires at a deterministic poll index, letting tests place a corrupted
 //! pivot, a perturbed right-hand side, a forced oracle timeout or a
-//! poisoned cut at a reproducible point in the solve. With no faults
-//! armed every `poll_fault` is a single relaxed atomic load, and a solver
-//! holding **no** context skips even that — the un-budgeted path is
-//! byte-identical to the pre-budget engine.
+//! poisoned cut at a reproducible point in the solve.
+//!
+//! Every solver holds a context: [`SolveCtx::unlimited`] (the `Default`)
+//! unless its caller installs one. An unlimited context has no cancel, no
+//! cap and no deadline, so `should_stop` returns `false` without reading a
+//! clock; with no faults armed every `poll_fault` is a single relaxed
+//! atomic load. Neither emits a record, so an unbudgeted solve takes the
+//! same pivots and writes the same trace as an engine with no budget
+//! layer at all.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -96,11 +101,15 @@ impl SolveBudget {
     /// [`wsn_obs::ManualClock`]-backed source the deadline only moves
     /// when the test advances it — no real sleeping, no flakiness.
     pub fn start_with_clock(self, clock: TimeSource) -> Arc<SolveCtx> {
+        Arc::new(self.arm(clock))
+    }
+
+    fn arm(self, clock: TimeSource) -> SolveCtx {
         let started_ns = clock.now_ns();
         let deadline_ns = self
             .wall
             .map(|d| started_ns.saturating_add(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)));
-        Arc::new(SolveCtx {
+        SolveCtx {
             clock,
             deadline_ns,
             max_pivots: self.max_pivots,
@@ -110,7 +119,7 @@ impl SolveBudget {
             handback: AtomicBool::new(false),
             polls: AtomicU64::new(0),
             faults: Default::default(),
-        })
+        }
     }
 }
 
@@ -136,10 +145,17 @@ pub struct SolveCtx {
     faults: [AtomicI64; 4],
 }
 
+impl Default for SolveCtx {
+    /// The unlimited context on the wall clock.
+    fn default() -> Self {
+        SolveBudget::unlimited().arm(TimeSource::wall())
+    }
+}
+
 impl SolveCtx {
     /// An always-passing context with no limits and no faults.
     pub fn unlimited() -> Arc<Self> {
-        SolveBudget::unlimited().start()
+        Arc::default()
     }
 
     /// Requests cooperative cancellation; every subsequent poll stops.
@@ -170,21 +186,11 @@ impl SolveCtx {
         self.expired.load(Ordering::Relaxed) || self.check_deadline_now()
     }
 
-    /// Time left on the deadline, if one is set (zero once expired).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline_ns.map(|d| Duration::from_nanos(d.saturating_sub(self.clock.now_ns())))
-    }
-
     /// The time source this context measures its deadline against.
     /// Resume budgets must be armed against the same source so virtual
     /// time stays coherent across the degradation ladder.
     pub fn time_source(&self) -> TimeSource {
         self.clock.clone()
-    }
-
-    /// Configured round cap, if any.
-    pub fn max_rounds(&self) -> Option<u64> {
-        self.max_rounds
     }
 
     /// True when `round` (0-based) exceeds the configured round cap.
@@ -229,11 +235,6 @@ impl SolveCtx {
         self.faults[kind as usize].store(after as i64, Ordering::Relaxed);
     }
 
-    /// True when any fault class is still armed.
-    pub fn has_armed_faults(&self) -> bool {
-        self.faults.iter().any(|c| c.load(Ordering::Relaxed) > 0)
-    }
-
     /// Decrements the countdown of `kind`; returns `true` exactly once,
     /// on the poll the countdown reaches zero. Disarmed cells cost one
     /// relaxed load.
@@ -264,7 +265,6 @@ mod tests {
         }
         assert!(!ctx.is_cancelled());
         assert!(!ctx.is_expired());
-        assert!(ctx.remaining().is_none());
     }
 
     #[test]
@@ -289,7 +289,6 @@ mod tests {
         // Poll 0 hits the clock immediately (stride starts at 0).
         assert!(ctx.should_stop(0));
         assert!(ctx.is_expired());
-        assert_eq!(ctx.remaining(), Some(Duration::ZERO));
     }
 
     #[test]
@@ -306,19 +305,17 @@ mod tests {
         let ctx = SolveBudget { max_rounds: Some(3), ..Default::default() }.start();
         assert!(!ctx.round_cap_hit(2));
         assert!(ctx.round_cap_hit(3));
-        assert!(SolveCtx::unlimited().max_rounds().is_none());
+        assert!(!SolveCtx::unlimited().round_cap_hit(u64::MAX));
     }
 
     #[test]
     fn fault_fires_exactly_once_at_countdown() {
         let ctx = SolveCtx::unlimited();
         ctx.arm_fault(FaultKind::CorruptPivot, 3);
-        assert!(ctx.has_armed_faults());
         assert!(!ctx.poll_fault(FaultKind::CorruptPivot));
         assert!(!ctx.poll_fault(FaultKind::CorruptPivot));
         assert!(ctx.poll_fault(FaultKind::CorruptPivot), "fires on the 3rd poll");
         assert!(!ctx.poll_fault(FaultKind::CorruptPivot), "one-shot");
-        assert!(!ctx.has_armed_faults());
         // Other classes stay independent.
         assert!(!ctx.poll_fault(FaultKind::PoisonCut));
     }
@@ -346,13 +343,10 @@ mod tests {
         let ctx = SolveBudget::wall(Duration::from_millis(10))
             .start_with_clock(TimeSource::manual(mc.clone()));
         assert!(!ctx.is_expired());
-        assert_eq!(ctx.remaining(), Some(Duration::from_millis(10)));
         mc.advance(Duration::from_millis(9));
         assert!(!ctx.is_expired());
-        assert_eq!(ctx.remaining(), Some(Duration::from_millis(1)));
         mc.advance(Duration::from_millis(1));
         assert!(ctx.is_expired(), "deadline reached exactly");
-        assert_eq!(ctx.remaining(), Some(Duration::ZERO));
         assert!(ctx.should_stop(0));
     }
 

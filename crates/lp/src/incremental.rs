@@ -312,10 +312,9 @@ pub struct IncrementalLp {
     solves_total: usize,
     warm_solves: usize,
     cold_fallbacks: usize,
-    /// Optional budget/cancellation token (shared with the caller); when
-    /// absent the solver's behaviour is byte-identical to the un-budgeted
-    /// engine — no clock reads, no fault polls.
-    ctx: Option<Arc<SolveCtx>>,
+    /// Budget/cancellation token and fault injector, shared with the
+    /// caller; unlimited unless [`IncrementalLp::set_ctx`] installs one.
+    ctx: Arc<SolveCtx>,
 }
 
 impl IncrementalLp {
@@ -379,26 +378,20 @@ impl IncrementalLp {
         self.mirror.clone()
     }
 
-    /// Installs (or clears) the budget/cancellation context polled between
-    /// pivots. Expiry surfaces as [`LpError::Interrupted`]; the basis
-    /// stays valid and a later solve (same or fresh context) continues
-    /// warm from it.
-    pub fn set_ctx(&mut self, ctx: Option<Arc<SolveCtx>>) {
+    /// Installs the budget/cancellation context polled between pivots.
+    /// Expiry surfaces as [`LpError::Interrupted`]; the basis stays valid
+    /// and a later solve (same or fresh context) continues warm from it.
+    pub fn set_ctx(&mut self, ctx: Arc<SolveCtx>) {
         self.ctx = ctx;
-    }
-
-    /// The installed budget context, if any.
-    pub fn ctx(&self) -> Option<&Arc<SolveCtx>> {
-        self.ctx.as_ref()
     }
 
     /// Polls the budget context; `Err(Interrupted)` on expiry/cancel.
     #[inline]
     fn poll_budget(&self) -> Result<(), LpError> {
-        match &self.ctx {
-            Some(ctx) if ctx.should_stop(self.pivots_total as u64) => Err(LpError::Interrupted),
-            _ => Ok(()),
+        if self.ctx.should_stop(self.pivots_total as u64) {
+            return Err(LpError::Interrupted);
         }
+        Ok(())
     }
 
     // ---- mutations ----------------------------------------------------
@@ -509,18 +502,16 @@ impl IncrementalLp {
     }
 
     fn solve_inner(&mut self) -> Result<LpSolution, LpError> {
-        if let Some(ctx) = &self.ctx {
-            if ctx.poll_fault(FaultKind::PoisonCut) {
-                // Chaos injection: a poisoned cut — the newest row goes
-                // non-finite in the engine *and* the mirror, so no
-                // refactorization can repair it. The sentinels must turn
-                // this into `LpError::Numerical`, never a panic.
-                if let Some(c) = self.mirror.constraints.last_mut() {
-                    c.rhs = f64::NAN;
-                }
-                if let Some(v) = self.b.last_mut() {
-                    *v = f64::NAN;
-                }
+        if self.ctx.poll_fault(FaultKind::PoisonCut) {
+            // Chaos injection: a poisoned cut — the newest row goes
+            // non-finite in the engine *and* the mirror, so no
+            // refactorization can repair it. The sentinels must turn
+            // this into `LpError::Numerical`, never a panic.
+            if let Some(c) = self.mirror.constraints.last_mut() {
+                c.rhs = f64::NAN;
+            }
+            if let Some(v) = self.b.last_mut() {
+                *v = f64::NAN;
             }
         }
         if !self.solved_once {
@@ -1208,14 +1199,12 @@ impl IncrementalLp {
                 self.refresh_values();
             }
             self.refresh_drow(false);
-            if let Some(ctx) = &self.ctx {
-                if ctx.poll_fault(FaultKind::PerturbRhs) {
-                    // Chaos injection: desynchronize the refreshed basic
-                    // values from the mirror; the mirror check must notice
-                    // and fall back to a cold rebuild.
-                    for v in &mut self.xb {
-                        *v = *v * 1.5 + 7.0;
-                    }
+            if self.ctx.poll_fault(FaultKind::PerturbRhs) {
+                // Chaos injection: desynchronize the refreshed basic
+                // values from the mirror; the mirror check must notice
+                // and fall back to a cold rebuild.
+                for v in &mut self.xb {
+                    *v = *v * 1.5 + 7.0;
                 }
             }
             self.bland = false;
@@ -1417,13 +1406,11 @@ impl IncrementalLp {
         self.drow[j] = 0.0;
         self.pivots_total += 1;
         self.since_refactor += 1;
-        if let Some(ctx) = &self.ctx {
-            if ctx.poll_fault(FaultKind::CorruptPivot) {
-                // Chaos injection: a corrupted pivot leaves a NaN in the
-                // entering column's value; the non-finite sentinel must
-                // catch it (no ratio test ever picks a NaN).
-                self.xb[r] = f64::NAN;
-            }
+        if self.ctx.poll_fault(FaultKind::CorruptPivot) {
+            // Chaos injection: a corrupted pivot leaves a NaN in the
+            // entering column's value; the non-finite sentinel must
+            // catch it (no ratio test ever picks a NaN).
+            self.xb[r] = f64::NAN;
         }
         if self.since_refactor >= REFACTOR_EVERY && !self.refactor() {
             // A heading that no longer inverts leaves the old rows in
@@ -1861,7 +1848,7 @@ mod tests {
         assert_matches_cold(&mut p);
         let ctx = crate::SolveBudget::unlimited().start();
         ctx.arm_fault(kind, 1);
-        p.set_ctx(Some(ctx));
+        p.set_ctx(ctx);
         for _ in 0..4 {
             // Cut off the incumbent so every solve pivots.
             let cut = incumbent_cut(&mut p, &mut rng, &vars);
@@ -1896,7 +1883,7 @@ mod tests {
         p.add_row(&[(x, 1.0), (y, 1.0)], Relation::Le, 1.5);
         let ctx = crate::SolveBudget::unlimited().start();
         ctx.arm_fault(FaultKind::CorruptPivot, 1);
-        p.set_ctx(Some(ctx));
+        p.set_ctx(ctx);
         assert_matches_cold(&mut p);
         assert_eq!(p.cold_fallbacks(), 1);
     }

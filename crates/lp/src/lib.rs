@@ -22,6 +22,10 @@
 //!   algorithm terminates. The engine checks every warm solve for
 //!   feasibility against a mirror [`LpProblem`], and the tests cross-check
 //!   its optima against this solver;
+//! * **the budget**, [`SolveCtx`] ([`budget`]): the cancellation token,
+//!   work caps and seeded fault injector the engine polls between pivots.
+//!   Every [`IncrementalLp`] holds one, unlimited unless its caller
+//!   installs another; the reference simplex takes none;
 //! * solutions are always **basic** — exactly the extreme points Lemma 1's
 //!   integrality argument needs.
 //!
@@ -51,4 +55,4 @@ pub mod simplex;
 pub use budget::{FaultKind, SolveBudget, SolveCtx, FAULT_KINDS};
 pub use incremental::{IncrementalLp, RowId};
 pub use problem::{LpProblem, Relation, VarId};
-pub use simplex::{solve_with_ctx, LpError, LpSolution, LpStatus};
+pub use simplex::{LpError, LpSolution, LpStatus};

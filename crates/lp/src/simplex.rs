@@ -13,7 +13,6 @@
 //! Anti-cycling: Dantzig pricing by default, switching permanently to
 //! Bland's rule after a run of degenerate pivots.
 
-use crate::budget::SolveCtx;
 use crate::problem::{LpProblem, Relation};
 
 /// Feasibility/pivot tolerance.
@@ -246,20 +245,10 @@ impl Tableau {
 
     /// Runs the current phase to optimality. Returns `Ok(true)` on
     /// optimality, `Ok(false)` on unboundedness.
-    fn optimize(
-        &mut self,
-        allow_artificials: bool,
-        max_iter: usize,
-        ctx: Option<&SolveCtx>,
-    ) -> Result<bool, LpError> {
+    fn optimize(&mut self, allow_artificials: bool, max_iter: usize) -> Result<bool, LpError> {
         loop {
             if self.iterations > max_iter {
                 return Err(LpError::IterationLimit);
-            }
-            if let Some(ctx) = ctx {
-                if ctx.should_stop(self.iterations as u64) {
-                    return Err(LpError::Interrupted);
-                }
             }
             let Some(j) = self.price(allow_artificials) else {
                 return Ok(true);
@@ -273,13 +262,6 @@ impl Tableau {
 
 /// Solves `problem` with the two-phase bounded-variable simplex.
 pub fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
-    solve_with_ctx(problem, None)
-}
-
-/// [`solve`], polling `ctx` between pivots so the solve can be cancelled
-/// or deadline-bounded ([`LpError::Interrupted`]). With `ctx = None` the
-/// pivot sequence is identical to the un-budgeted solver.
-pub fn solve_with_ctx(problem: &LpProblem, ctx: Option<&SolveCtx>) -> Result<LpSolution, LpError> {
     let nvars = problem.num_vars();
     let m = problem.num_constraints();
 
@@ -368,7 +350,7 @@ pub fn solve_with_ctx(problem: &LpProblem, ctx: Option<&SolveCtx>) -> Result<LpS
         let cj = if j >= n_real { 1.0 } else { 0.0 };
         t.drow[j] = cj - colsum;
     }
-    let finished = t.optimize(true, max_iter, ctx)?;
+    let finished = t.optimize(true, max_iter)?;
     debug_assert!(finished, "phase 1 is bounded below by 0");
 
     let phase1_obj: f64 = (0..t.m).filter(|&i| t.basis[i] >= n_real).map(|i| t.rhs[i]).sum();
@@ -450,7 +432,7 @@ pub fn solve_with_ctx(problem: &LpProblem, ctx: Option<&SolveCtx>) -> Result<LpS
     t.bland = false;
     t.degenerate_run = 0;
 
-    let finished = t.optimize(false, max_iter, ctx)?;
+    let finished = t.optimize(false, max_iter)?;
     if !finished {
         return Ok(LpSolution {
             status: LpStatus::Unbounded,

@@ -244,6 +244,9 @@ fn histogram_section(doc: &Json) -> Result<Vec<(String, Vec<u64>, Vec<u64>, u64)
     for (name, body) in entries {
         let bounds = u64_list(name, body.get("bounds"), "bounds")?;
         let counts = u64_list(name, body.get("counts"), "counts")?;
+        if bounds.is_empty() {
+            return Err(format!("histogram {name:?} has no bucket bounds"));
+        }
         if counts.len() != bounds.len() + 1 {
             return Err(format!("histogram {name:?}: counts/bounds length mismatch"));
         }
@@ -759,6 +762,14 @@ mod tests {
                    \"counts\":[0],\"sum\":0,\"count\":0}}}";
         let err = render_metrics(bad).unwrap_err();
         assert!(err.contains("length mismatch"), "{err}");
+    }
+
+    #[test]
+    fn render_metrics_rejects_a_histogram_without_bounds() {
+        let bad = "{\"counters\":{},\"gauges\":{},\"histograms\":{\"h\":{\"bounds\":[],\
+                   \"counts\":[3],\"sum\":7,\"count\":3}}}";
+        let err = render_metrics(bad).unwrap_err();
+        assert!(err.contains("histogram \"h\" has no bucket bounds"), "{err}");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use mrlc_core::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wsn_lp::{FaultKind, SolveBudget, FAULT_KINDS};
+use wsn_lp::{FaultKind, SolveBudget, SolveCtx, FAULT_KINDS};
 use wsn_model::{lifetime, EnergyModel};
 use wsn_testbed::{random_graph, RandomGraphConfig};
 
@@ -129,7 +129,8 @@ fn checkpoint_resume_matches_the_uninterrupted_solve() {
         Err(IraError::Interrupted(cp)) => cp,
         other => panic!("round cap of 1 must interrupt, got {other:?}"),
     };
-    let resumed = resume_ira(&inst, &IraConfig::default(), *cp, None).expect("resume closes");
+    let resumed = resume_ira(&inst, &IraConfig::default(), *cp, &SolveCtx::unlimited())
+        .expect("resume closes");
 
     let a: Vec<_> = plain.tree.edges().collect();
     let b: Vec<_> = resumed.tree.edges().collect();
@@ -161,7 +162,7 @@ fn repeated_interrupts_across_shrink_boundaries_match_the_uninterrupted_solve() 
             Err(IraError::Interrupted(cp)) => {
                 checkpoints.push((cp.iterations(), cp.constrained_nodes(), cp.active_edges()));
                 assert!(checkpoints.len() <= 10_000, "interrupt/resume loop failed to converge");
-                outcome = resume_ira(&inst, &IraConfig::default(), *cp, Some(&one_round()));
+                outcome = resume_ira(&inst, &IraConfig::default(), *cp, &one_round());
             }
             Err(e) => panic!("unexpected error mid-resume: {e}"),
         }

@@ -10,7 +10,7 @@
 //! drops: subtour cuts stay valid on any edge subset of the instance that
 //! produced them.
 
-use crate::separation::{violation_sorted, FracEdge, ViolatedSet};
+use crate::separation::{violation_of_mask, FracEdge, ViolatedSet};
 use std::collections::BTreeMap;
 
 /// Deduplicated store of subtour sets with activation state.
@@ -103,18 +103,31 @@ impl CutPool {
         true
     }
 
-    /// Screens every inactive cut against the fractional point, returning
-    /// `(screened, violated)` where `violated` lists the inactive cuts
-    /// whose violation exceeds `tol` (in first-seen pool order).
-    pub fn screen(&self, edges: &[FracEdge], tol: f64) -> (usize, Vec<ViolatedSet>) {
+    /// Screens every inactive cut against the fractional point over nodes
+    /// `0..n`, returning `(screened, violated)` where `violated` lists the
+    /// inactive cuts whose violation exceeds `tol` (in first-seen pool
+    /// order). Each set's members are marked in one reused mask, and the
+    /// violation sums the same edges in the same order as
+    /// [`violation_sorted`](crate::separation::violation_sorted), so it
+    /// has the same bits.
+    pub fn screen(&self, n: usize, edges: &[FracEdge], tol: f64) -> (usize, Vec<ViolatedSet>) {
         let mut screened = 0;
         let mut violated = Vec::new();
+        let mut member = vec![false; n];
         for (i, set) in self.sets.iter().enumerate() {
             if self.active[i] {
                 continue;
             }
             screened += 1;
-            let v = violation_sorted(edges, set);
+            // Sets are sorted; a member outside `0..n` ends no edge.
+            let inside = &set[..set.partition_point(|&v| v < n)];
+            for &v in inside {
+                member[v] = true;
+            }
+            let v = violation_of_mask(edges, &member, set.len());
+            for &v in inside {
+                member[v] = false;
+            }
             if v > tol {
                 violated.push(ViolatedSet { set: set.clone(), violation: v });
             }
@@ -228,7 +241,7 @@ mod tests {
             fe(3, 5, 0.9), // {3,4,5}: 2.7 > 2
             fe(0, 3, 0.5),
         ];
-        let (screened, violated) = pool.screen(&edges, 1e-7);
+        let (screened, violated) = pool.screen(6, &edges, 1e-7);
         assert_eq!(screened, 2);
         assert_eq!(violated.len(), 1);
         assert_eq!(violated[0].set, vec![3, 4, 5]);
@@ -236,9 +249,21 @@ mod tests {
     }
 
     #[test]
+    fn screening_counts_members_beyond_the_point_as_isolated() {
+        // A pool kept across a solve on fewer nodes: node 7 ends no edge of
+        // this point, so it only adds to |S|, as `violation_sorted` has it.
+        let mut pool = CutPool::new();
+        pool.insert_inactive(vec![0, 1, 7]);
+        let edges = vec![fe(0, 1, 1.0), fe(1, 2, 1.0)];
+        let (screened, violated) = pool.screen(3, &edges, f64::NEG_INFINITY);
+        assert_eq!((screened, violated.len()), (1, 1));
+        assert_eq!(violated[0].violation, crate::separation::violation_sorted(&edges, &[0, 1, 7]));
+    }
+
+    #[test]
     fn screening_skips_nothing_when_pool_is_clean() {
         let pool = CutPool::new();
-        let (screened, violated) = pool.screen(&[fe(0, 1, 1.0)], 1e-7);
+        let (screened, violated) = pool.screen(2, &[fe(0, 1, 1.0)], 1e-7);
         assert_eq!((screened, violated.len()), (0, 0));
     }
 

@@ -35,10 +35,11 @@
 //! violation-maximizing local search ([`separation::strengthen`]) and its
 //! surplus findings are parked rather than discarded. The pool survives
 //! IRA shrink steps and constraint drops (subtour cuts stay valid on any
-//! edge subset); the oracle keeps no state and builds each call's network
-//! on the point's support. The pre-engine loop — one cut per round, no
-//! pool, no seed pruning — is likewise a unit-test reference only; both
-//! terminate at an optimum of the same polytope.
+//! edge subset). A round sees only the edges with `x_e ≠ 0`; the oracle
+//! keeps no state and builds each call's network on the point's support.
+//! The pre-engine loop — one cut per round, no pool, no seed pruning — is
+//! likewise a unit-test reference only; both terminate at an optimum of
+//! the same polytope.
 
 use crate::cutpool::{select_batch, CutPool};
 use crate::separation::{self, FracEdge, SepCounters, ViolatedSet, PARALLEL_SEP_THRESHOLD};
@@ -398,7 +399,7 @@ impl CutLp {
         // the oracle costs one maxflow per seed.
         if self.pool.inactive_count() > 0 {
             self.metrics.pool_scans.inc();
-            let (_screened, violated) = self.pool.screen(frac, SEP_TOL);
+            let (_screened, violated) = self.pool.screen(n, frac, SEP_TOL);
             if !violated.is_empty() {
                 let (picked, _rest) = select_batch(violated, k);
                 let hits = picked.len();
@@ -632,10 +633,17 @@ impl CutLp {
                 LpStatus::Optimal => {}
             }
 
-            // Project onto the caller's edge order.
+            // Project onto the caller's edge order. Separation sees the
+            // support only: an extreme point leaves most edges at 0, and a
+            // 0 or −0 term leaves every sum the round takes bit for bit
+            // unchanged.
             let x: Vec<f64> = edges.iter().map(|e| sol.x[state.vars[&e.tag].0.index()]).collect();
-            let frac: Vec<FracEdge> =
-                edges.iter().zip(&x).map(|(e, &x)| FracEdge { u: e.u, v: e.v, x }).collect();
+            let frac: Vec<FracEdge> = edges
+                .iter()
+                .zip(&x)
+                .filter(|&(_, &x)| x != 0.0)
+                .map(|(e, &x)| FracEdge { u: e.u, v: e.v, x })
+                .collect();
             let sep_start = std::time::Instant::now();
             let added = {
                 let _span = wsn_obs::span_with("separation", vec![wsn_obs::field("round", round)]);

@@ -26,12 +26,26 @@
 //! the same order, every flow and cut is bit for bit that of the network
 //! declaring every instance edge (a proptest checks this against that
 //! network). The LP's extreme points leave most instance edges at exactly
-//! 0, so each seed's maxflow walks few arcs. A seed query raises its
-//! `src → s` arc to infinite capacity and a [`FlowNetwork::reset`] undoes
-//! the residual state — no per-seed allocation. The serial path reuses
-//! the call's network across waves; parallel workers each clone it.
-//! Results are merged through a `BTreeMap`, so the parallel and serial
-//! paths return **identical** output (a property the proptests pin down).
+//! 0, so each seed's maxflow walks few arcs, and the cutting-plane loop
+//! passes only the edges with `x_e ≠ 0`: a zero term leaves every sum
+//! here bit for bit unchanged.
+//!
+//! The seeds of one call share one **base flow**: the network's maximum
+//! flow with every seed arc still at 0, solved once and kept
+//! ([`FlowNetwork::keep_flow`]). Every seed's network contains that one,
+//! so the base flow is feasible for each of them. A seed query
+//! [`FlowNetwork::reset`]s to the kept residual, raises its `src → s`
+//! arc to infinite capacity and adds only the extra flow the arc admits
+//! — no per-seed allocation. Any maximum flow leaves the same set
+//! reachable from the source (the minimal min cut), so in exact
+//! arithmetic every seed returns the set a from-zero flow finds; on
+//! dyadic points the tests check this bit for bit against the from-zero
+//! sweep. In floating point, rounding can pick the other of two minimum
+//! cuts that tie to within rounding (DESIGN.md §10 counts them). The
+//! serial path reuses the call's network across waves; parallel workers
+//! each clone it with the base flow kept. Results are merged through a
+//! `BTreeMap`, so the parallel and serial paths return **identical**
+//! output (a property the proptests pin down).
 //!
 //! Before any min-cut, a **disconnected-support pre-check** answers the
 //! call when the support (`x_e > tol`) splits into components and one of
@@ -96,17 +110,19 @@ pub struct SepCounters {
     pub(crate) min_cut_seeds: Counter,
     pub(crate) violated: Counter,
     pub(crate) seeds_pruned: Counter,
-    /// Cumulative wall time inside per-seed maxflow calls. A sum of
-    /// atomics, so it stays schedule-independent under parallel fan-out.
+    /// Cumulative wall time inside maxflow calls: each call's base flow
+    /// plus every seed's extra flow. A sum of atomics, so it stays
+    /// schedule-independent under parallel fan-out.
     pub(crate) maxflow_ns: Counter,
     /// Per-seed maxflow wall time (µs) — the profiler's attribution of
-    /// oracle cost to individual seeds, not just the stage total.
+    /// oracle cost to individual seeds, not just the stage total. The base
+    /// flow is not a seed and is not observed here.
     pub(crate) maxflow_us: Histogram,
 }
 
 /// Per-seed maxflow wall-time buckets (µs, up to 100 ms then overflow).
 const MAXFLOW_US_BUCKETS: &[u64] =
-    &[10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000];
+    &[1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000];
 
 impl SepCounters {
     /// Resolves the `sep.*` handles from `reg`.
@@ -169,7 +185,7 @@ pub fn separate(
     prune: bool,
     counters: &SepCounters,
 ) -> Vec<ViolatedSet> {
-    separate_on(support_network, n, edges, tol, parallel, prune, counters)
+    separate_on(support_network, keep_base_flow, n, edges, tol, parallel, prune, counters)
 }
 
 /// The auxiliary network of one call plus, per seed `s`, the id of its
@@ -198,6 +214,41 @@ fn support_network(n: usize, edges: &[FracEdge], w: &[f64]) -> SeedNetwork {
     (net, seed_arcs)
 }
 
+/// Solves the base flow of a freshly built call network — its maximum
+/// flow with every seed arc still at 0 — and keeps it, so every seed
+/// query starts from it (module docs). Returns its value; its wall time
+/// is maxflow work and counts in `sep.maxflow_ns`.
+fn keep_base_flow(net: &mut FlowNetwork, n: usize, counters: &SepCounters) -> f64 {
+    let (src, snk) = (n, n + 1);
+    let flow_start = std::time::Instant::now();
+    let base = net.max_flow(src, snk);
+    net.keep_flow();
+    counters.maxflow_ns.add(flow_start.elapsed().as_nanos() as u64);
+    base
+}
+
+/// One seed's maximum flow on a call network whose base flow `base` is
+/// kept: back to the kept residual, the seed's `src → s` arc (`seed_arc`)
+/// raised to ∞, and the extra flow added to the base. The residual is
+/// left for the seed's cut side.
+fn seed_flow(
+    net: &mut FlowNetwork,
+    seed_arc: FlowEdgeId,
+    base: f64,
+    n: usize,
+    counters: &SepCounters,
+) -> f64 {
+    let (src, snk) = (n, n + 1);
+    net.reset();
+    net.set_cap(seed_arc, f64::INFINITY);
+    let flow_start = std::time::Instant::now();
+    let flow = base + net.max_flow(src, snk);
+    let flow_elapsed = flow_start.elapsed();
+    counters.maxflow_ns.add(flow_elapsed.as_nanos() as u64);
+    counters.maxflow_us.observe(flow_elapsed.as_micros() as u64);
+    flow
+}
+
 /// Node weights `w(v) = 1 − x(δ(v))/2`.
 fn node_weights(n: usize, edges: &[FracEdge]) -> Vec<f64> {
     let mut half_deg = vec![0.0f64; n];
@@ -208,10 +259,14 @@ fn node_weights(n: usize, edges: &[FracEdge]) -> Vec<f64> {
     half_deg.iter().map(|h| 1.0 - h).collect()
 }
 
-/// [`separate`] with the network builder as a parameter, so tests can run
-/// the same sweep over the network that declares every instance edge.
+/// [`separate`] with the network builder and the base flow as parameters,
+/// so tests can run the same sweep over the network that declares every
+/// instance edge, and with every seed's flow solved from zero (the oracle
+/// for [`keep_base_flow`]).
+#[allow(clippy::too_many_arguments)]
 fn separate_on(
     build: fn(usize, &[FracEdge], &[f64]) -> SeedNetwork,
+    start: fn(&mut FlowNetwork, usize, &SepCounters) -> f64,
     n: usize,
     edges: &[FracEdge],
     tol: f64,
@@ -255,41 +310,35 @@ fn separate_on(
     let mut pruned = 0u64;
     let w = node_weights(n, edges);
     let p_neg: f64 = w.iter().filter(|&&x| x < 0.0).sum();
-    let (net, seed_arcs) = build(n, edges, &w);
+    let (mut net, seed_arcs) = build(n, edges, &w);
+    let base = start(&mut net, n, counters);
     // The serial path's network and cut-side buffer; each parallel worker
-    // clones it for its wave.
+    // clones it, base flow kept, for its wave.
     let mut scratch = (net, Vec::new());
 
-    let src = n;
-    let snk = n + 1;
     let run_seed = |(net, side): &mut (FlowNetwork, Vec<bool>), s: usize| -> Option<ViolatedSet> {
         counters.min_cut_seeds.inc();
-        net.reset();
-        net.set_cap(seed_arcs[s], f64::INFINITY);
-        let flow_start = std::time::Instant::now();
-        let flow = net.max_flow(src, snk);
-        let flow_elapsed = flow_start.elapsed();
-        counters.maxflow_ns.add(flow_elapsed.as_nanos() as u64);
-        counters.maxflow_us.observe(flow_elapsed.as_micros() as u64);
+        let flow = seed_flow(net, seed_arcs[s], base, n, counters);
         let min_f = p_neg + flow - 1.0;
         if min_f >= -tol {
             return None;
         }
-        net.min_cut_source_side_into(src, side);
-        let set: Vec<usize> = (0..n).filter(|&v| side[v]).collect();
-        if set.len() < 2 || set.len() >= n {
+        net.min_cut_source_side_into(n, side); // from `src = n`
+        let size = side[..n].iter().filter(|&&b| b).count();
+        if size < 2 || size >= n {
             return None;
         }
-        let viol = violation(edges, &set);
-        (viol > tol).then_some(ViolatedSet { set, violation: viol })
+        let viol = violation_of_mask(edges, side, size);
+        (viol > tol)
+            .then(|| ViolatedSet { set: (0..n).filter(|&v| side[v]).collect(), violation: viol })
     };
 
     let mut chunk = Vec::with_capacity(SEED_CHUNK);
-    for base in (0..n).step_by(SEED_CHUNK) {
-        let end = (base + SEED_CHUNK).min(n);
+    for first in (0..n).step_by(SEED_CHUNK) {
+        let end = (first + SEED_CHUNK).min(n);
         chunk.clear();
-        chunk.extend((base..end).filter(|&s| !(prune && covered[s])));
-        pruned += (end - base - chunk.len()) as u64;
+        chunk.extend((first..end).filter(|&s| !(prune && covered[s])));
+        pruned += (end - first - chunk.len()) as u64;
         if chunk.is_empty() {
             continue;
         }
@@ -377,21 +426,22 @@ pub fn strengthen(n: usize, edges: &[FracEdge], set: &[usize], eps: f64) -> Vec<
     (0..n).filter(|&v| in_set[v]).collect()
 }
 
-/// `x(E(S)) − (|S| − 1)`: positive means `S` violates the subtour bound.
-pub fn violation(edges: &[FracEdge], set: &[usize]) -> f64 {
-    let in_set: std::collections::HashSet<usize> = set.iter().copied().collect();
-    let internal: f64 =
-        edges.iter().filter(|e| in_set.contains(&e.u) && in_set.contains(&e.v)).map(|e| e.x).sum();
-    internal - (set.len() as f64 - 1.0)
-}
-
-/// As [`violation`], for a **sorted** set, via binary search — the
-/// allocation-free form the cut pool's screening scan uses.
+/// `x(E(S)) − (|S| − 1)` for a **sorted** set `S`, via binary search:
+/// positive means `S` violates the subtour bound.
 pub fn violation_sorted(edges: &[FracEdge], set: &[usize]) -> f64 {
     debug_assert!(set.windows(2).all(|w| w[0] < w[1]), "set must be sorted");
     let member = |v: usize| set.binary_search(&v).is_ok();
     let internal: f64 = edges.iter().filter(|e| member(e.u) && member(e.v)).map(|e| e.x).sum();
     internal - (set.len() as f64 - 1.0)
+}
+
+/// As [`violation_sorted`], for a set of `size` members given as a mask
+/// over the point's nodes — the form the oracle's cut sides and the cut
+/// pool's screening scan already hold. It sums the same edges in the same
+/// order, so it returns the same bits.
+pub(crate) fn violation_of_mask(edges: &[FracEdge], member: &[bool], size: usize) -> f64 {
+    let internal: f64 = edges.iter().filter(|e| member[e.u] && member[e.v]).map(|e| e.x).sum();
+    internal - (size as f64 - 1.0)
 }
 
 #[cfg(test)]
@@ -427,6 +477,40 @@ mod tests {
         (net, seed_arcs)
     }
 
+    /// The start that keeps no base flow: every seed query solves its
+    /// flow from zero, as the oracle did before the base flow existed —
+    /// the reference [`keep_base_flow`] is checked against.
+    fn from_zero(_: &mut FlowNetwork, _: usize, _: &SepCounters) -> f64 {
+        0.0
+    }
+
+    /// Every seed's flow value and cut side on the call's support network,
+    /// through the same seed query the sweep runs, started by `start`.
+    fn seed_cuts(
+        n: usize,
+        edges: &[FracEdge],
+        start: fn(&mut FlowNetwork, usize, &SepCounters) -> f64,
+    ) -> Vec<(f64, Vec<bool>)> {
+        let (_obs, counters) = detached_counters();
+        let (mut net, seed_arcs) = support_network(n, edges, &node_weights(n, edges));
+        let base = start(&mut net, n, &counters);
+        seed_arcs
+            .iter()
+            .map(|&arc| {
+                let flow = seed_flow(&mut net, arc, base, n, &counters);
+                (flow, net.min_cut_source_side(n))
+            })
+            .collect()
+    }
+
+    /// Sets with the bits of their violations, for bit-for-bit comparisons.
+    fn bits(sets: &[ViolatedSet]) -> Vec<(Vec<usize>, u64)> {
+        sets.iter().map(|vs| (vs.set.clone(), vs.violation.to_bits())).collect()
+    }
+
+    /// Every `(prune, parallel)` combination of [`separate`].
+    const SWEEPS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
+
     #[test]
     fn spanning_tree_point_has_no_violation() {
         // A path with x = 1 on each edge satisfies all subtour constraints.
@@ -446,8 +530,8 @@ mod tests {
 
     #[test]
     fn fractional_violation_detected() {
-        // x = 2/3 on each triangle edge: x(E(S)) = 2 > |S| − 1 = 2? No —
-        // equals exactly 2... use 0.75: 2.25 > 2.
+        // x = 0.75 on each triangle edge: x(E(S)) = 2.25 > |S| − 1 = 2.
+        // (At 2/3 the triangle would be tight; the next test covers that.)
         let edges = vec![fe(0, 1, 0.75), fe(1, 2, 0.75), fe(0, 2, 0.75), fe(0, 3, 0.75)];
         let sets = violated_sets(4, &edges, 1e-7);
         assert!(sets.iter().any(|s| s == &vec![0, 1, 2]));
@@ -479,10 +563,10 @@ mod tests {
     #[test]
     fn violation_helper() {
         let edges = vec![fe(0, 1, 0.9), fe(1, 2, 0.9), fe(0, 2, 0.9)];
-        assert!((violation(&edges, &[0, 1, 2]) - 0.7).abs() < 1e-12);
-        assert!((violation(&edges, &[0, 1]) - (-0.1)).abs() < 1e-12);
         assert!((violation_sorted(&edges, &[0, 1, 2]) - 0.7).abs() < 1e-12);
         assert!((violation_sorted(&edges, &[0, 1]) - (-0.1)).abs() < 1e-12);
+        let mask = [true, true, false];
+        assert_eq!(violation_of_mask(&edges, &mask, 2), violation_sorted(&edges, &[0, 1]));
     }
 
     #[test]
@@ -528,7 +612,7 @@ mod tests {
         let edges = vec![fe(0, 1, 1.0), fe(1, 2, 1.0), fe(0, 2, 1.0), fe(0, 3, 0.9), fe(1, 3, 0.9)];
         let deep = strengthen(4, &edges, &[0, 1, 2], 0.25);
         assert_eq!(deep, vec![0, 1, 2, 3]);
-        assert!((violation(&edges, &deep) - 1.8).abs() < 1e-9);
+        assert!((violation_sorted(&edges, &deep) - 1.8).abs() < 1e-9);
     }
 
     #[test]
@@ -538,7 +622,7 @@ mod tests {
         let edges = vec![fe(0, 1, 1.0), fe(1, 2, 1.0), fe(0, 2, 1.0), fe(2, 3, 0.3), fe(3, 4, 0.4)];
         let deep = strengthen(5, &edges, &[0, 1, 2, 3], 0.25);
         assert_eq!(deep, vec![0, 1, 2]);
-        assert!(violation(&edges, &deep) > violation(&edges, &[0, 1, 2, 3]));
+        assert!(violation_sorted(&edges, &deep) > violation_sorted(&edges, &[0, 1, 2, 3]));
     }
 
     #[test]
@@ -551,13 +635,13 @@ mod tests {
 
     #[test]
     fn strengthening_never_shrinks_below_a_pair() {
-        // A violated pair with nothing worth absorbing stays a pair even
-        // though both members hold less than 1 − margin... they cannot:
-        // the shed guard requires |S| > 2.
+        // Both members of the pair hold less than 1 − margin inside it, so
+        // shedding either would gain; the shed guard (|S| > 2) keeps the
+        // pair, and nothing outside is worth absorbing.
         let edges = vec![fe(0, 1, 0.6), fe(0, 1, 0.6), fe(1, 2, 0.8)];
         let deep = strengthen(3, &edges, &[0, 1], 0.25);
         assert!(deep.len() >= 2);
-        assert!(violation(&edges, &deep) >= violation(&edges, &[0, 1]) - 1e-12);
+        assert!(violation_sorted(&edges, &deep) >= violation_sorted(&edges, &[0, 1]) - 1e-12);
     }
 
     mod proptests {
@@ -571,7 +655,7 @@ mod tests {
                     return false;
                 }
                 let set: Vec<usize> = (0..n).filter(|&v| mask & (1 << v) != 0).collect();
-                violation(edges, &set) > tol
+                violation_sorted(edges, &set) > tol
             })
         }
 
@@ -670,6 +754,20 @@ mod tests {
             Some(edges)
         }
 
+        /// A point of dyadic values `x_e = k/64` on distinct pairs, over a
+        /// path through every node so the seeded sweep runs. Every sum and
+        /// difference the oracle takes on it is exact in f64, so flows
+        /// solved from the base flow and from zero agree bit for bit.
+        fn dyadic_point(n: usize, raw: Vec<(usize, usize, u32)>) -> Vec<FracEdge> {
+            let mut pairs = std::collections::BTreeSet::new();
+            (0..n - 1)
+                .map(|v| (v, v + 1, 16))
+                .chain(raw)
+                .filter(|&(u, v, _)| u != v && pairs.insert((u.min(v), u.max(v))))
+                .map(|(u, v, k)| fe(u, v, k as f64 / 64.0))
+                .collect()
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
             #[test]
@@ -686,7 +784,7 @@ mod tests {
                     prop_assert!(!sets.is_empty(), "oracle missed a violation");
                 }
                 for s in &sets {
-                    prop_assert!(violation(&edges, s) > tol, "bogus set {s:?}");
+                    prop_assert!(violation_sorted(&edges, s) > tol, "bogus set {s:?}");
                 }
             }
 
@@ -703,8 +801,8 @@ mod tests {
                 prop_assert_eq!(!sets.is_empty(), brute,
                     "pruning changed the feasibility verdict");
                 for vs in &sets {
-                    prop_assert!(violation(&edges, &vs.set) > tol, "bogus set {:?}", vs.set);
-                    prop_assert!((violation(&edges, &vs.set) - vs.violation).abs() < 1e-9);
+                    prop_assert!(violation_sorted(&edges, &vs.set) > tol, "bogus set {:?}", vs.set);
+                    prop_assert!((violation_sorted(&edges, &vs.set) - vs.violation).abs() < 1e-9);
                 }
             }
 
@@ -725,7 +823,7 @@ mod tests {
                 prop_assert!(!sets.is_empty(), "a disconnected LP point must be cut off");
                 prop_assert_eq!(obs.registry().counter("sep.min_cut_seeds").get(), 0);
                 for vs in &sets {
-                    prop_assert!(violation(&edges, &vs.set) > tol, "bogus set {:?}", vs.set);
+                    prop_assert!(violation_sorted(&edges, &vs.set) > tol, "bogus set {:?}", vs.set);
                 }
             }
 
@@ -769,14 +867,135 @@ mod tests {
                     prop_assert_eq!(sup.min_cut_source_side(n), full.min_cut_source_side(n));
                 }
                 // Whole sweeps: the same sets with bit-identical violations.
-                for (prune, parallel) in [(false, false), (false, true), (true, false), (true, true)] {
+                for (prune, parallel) in SWEEPS {
                     let (_obs, counters) = detached_counters();
                     let got = separate(n, &edges, tol, parallel, prune, &counters);
-                    let want = separate_on(full_network, n, &edges, tol, parallel, prune, &counters);
-                    let bits = |sets: &[ViolatedSet]| -> Vec<(Vec<usize>, u64)> {
-                        sets.iter().map(|vs| (vs.set.clone(), vs.violation.to_bits())).collect()
-                    };
+                    let want = separate_on(
+                        full_network,
+                        keep_base_flow,
+                        n,
+                        &edges,
+                        tol,
+                        parallel,
+                        prune,
+                        &counters,
+                    );
                     prop_assert_eq!(bits(&got), bits(&want), "prune {} parallel {}", prune, parallel);
+                }
+            }
+
+            #[test]
+            fn base_flow_matches_the_from_zero_sweep_on_dyadic_points(
+                (n, raw) in (4usize..=24).prop_flat_map(|n| {
+                    (Just(n), proptest::collection::vec((0..n, 0..n, 0u32..=64), n..3 * n))
+                })
+            ) {
+                let edges = dyadic_point(n, raw);
+                let tol = 1e-7;
+                // Seed by seed: the same flow value and the same cut side.
+                let warm = seed_cuts(n, &edges, keep_base_flow);
+                let cold = seed_cuts(n, &edges, from_zero);
+                for (s, ((fw, sw), (fc, sc))) in warm.iter().zip(&cold).enumerate() {
+                    prop_assert!(fw == fc, "seed {}: {} vs {}", s, fw, fc);
+                    prop_assert_eq!(sw, sc, "seed {} cut side", s);
+                }
+                // Whole sweeps: the same sets with bit-identical violations.
+                for (prune, parallel) in SWEEPS {
+                    let (_obs, counters) = detached_counters();
+                    let got = separate(n, &edges, tol, parallel, prune, &counters);
+                    let want = separate_on(
+                        support_network,
+                        from_zero,
+                        n,
+                        &edges,
+                        tol,
+                        parallel,
+                        prune,
+                        &counters,
+                    );
+                    prop_assert_eq!(bits(&got), bits(&want), "prune {} parallel {}", prune, parallel);
+                }
+            }
+
+            #[test]
+            fn base_flow_keeps_every_seed_verdict_on_lp_points(
+                (n, raw) in (4usize..=24).prop_flat_map(|n| {
+                    (Just(n), proptest::collection::vec((0..n, 0..n, 0u32..=110), n - 1..3 * n))
+                })
+            ) {
+                let tol = 1e-7;
+                let Some(edges) = lp_point(n, raw, tol) else { return Ok(()) };
+                let p_neg: f64 = node_weights(n, &edges).iter().filter(|&&w| w < 0.0).sum();
+                let violated = |flow: f64| p_neg + flow - 1.0 < -tol;
+                let side_violation = |side: &[bool]| {
+                    violation_of_mask(&edges, side, side[..n].iter().filter(|&&b| b).count())
+                };
+                let warm = seed_cuts(n, &edges, keep_base_flow);
+                let cold = seed_cuts(n, &edges, from_zero);
+                for (s, ((fw, sw), (fc, sc))) in warm.iter().zip(&cold).enumerate() {
+                    prop_assert!((fw - fc).abs() <= 1e-9, "seed {}: {} vs {}", s, fw, fc);
+                    prop_assert_eq!(violated(*fw), violated(*fc), "seed {} verdict", s);
+                    // Rounding may land a near-tie on the other minimum cut;
+                    // both sides are then violated alike.
+                    if violated(*fw) && sw != sc {
+                        let (vw, vc) = (side_violation(sw), side_violation(sc));
+                        prop_assert!((vw - vc).abs() <= 1e-9, "seed {}: {} vs {}", s, vw, vc);
+                    }
+                }
+            }
+
+            #[test]
+            fn zero_edges_leave_the_round_bit_identical(
+                raw in proptest::collection::vec((0usize..12, 0usize..12, 0u32..=300), 10..50),
+                zeros in proptest::collection::vec(
+                    (0usize..12, 0usize..12, any::<bool>(), 0usize..64),
+                    1..30,
+                ),
+                masks in proptest::collection::vec(3u32..(1 << 12), 1..8),
+                backbone in any::<bool>(),
+            ) {
+                let n = 12;
+                let tol = 1e-7;
+                // The support, as the cutting-plane loop passes it, and the
+                // same point with 0 and −0 edges interleaved.
+                let support: Vec<FracEdge> =
+                    sparse_point(n, raw, backbone).into_iter().filter(|e| e.x != 0.0).collect();
+                let mut padded = support.clone();
+                for (u, v, negative, at) in zeros.into_iter().filter(|&(u, v, _, _)| u != v) {
+                    let x = if negative { -0.0 } else { 0.0 };
+                    padded.insert(at.min(padded.len()), fe(u, v, x));
+                }
+                let mut sets: Vec<Vec<usize>> = masks
+                    .iter()
+                    .map(|&mask| (0..n).filter(|&v| mask & (1 << v) != 0).collect::<Vec<_>>())
+                    .filter(|set| set.len() >= 2)
+                    .collect();
+                for (prune, parallel) in SWEEPS {
+                    let (_obs, counters) = detached_counters();
+                    let got = separate(n, &padded, tol, parallel, prune, &counters);
+                    let want = separate(n, &support, tol, parallel, prune, &counters);
+                    prop_assert_eq!(bits(&got), bits(&want), "prune {} parallel {}", prune, parallel);
+                    sets.extend(want.into_iter().map(|vs| vs.set));
+                }
+                let mut pool = crate::CutPool::new();
+                for set in &sets {
+                    let deep = strengthen(n, &padded, set, 0.25);
+                    prop_assert_eq!(&deep, &strengthen(n, &support, set, 0.25));
+                    prop_assert_eq!(
+                        violation_sorted(&padded, &deep).to_bits(),
+                        violation_sorted(&support, &deep).to_bits()
+                    );
+                    pool.insert_inactive(set.clone());
+                    pool.insert_inactive(deep);
+                }
+                let (screened, got) = pool.screen(n, &padded, tol);
+                let (_, want) = pool.screen(n, &support, tol);
+                prop_assert_eq!(bits(&got), bits(&want));
+                // Screening is `violation_sorted` bit for bit.
+                let (_, every) = pool.screen(n, &support, f64::NEG_INFINITY);
+                prop_assert_eq!(every.len(), screened);
+                for vs in &every {
+                    prop_assert_eq!(vs.violation.to_bits(), violation_sorted(&support, &vs.set).to_bits());
                 }
             }
 
@@ -796,7 +1015,7 @@ mod tests {
                 prop_assert!(deep.len() >= 2);
                 prop_assert!(deep.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
                 prop_assert!(
-                    violation(&edges, &deep) >= violation(&edges, &set) - 1e-9,
+                    violation_sorted(&edges, &deep) >= violation_sorted(&edges, &set) - 1e-9,
                     "strengthening lowered the violation: {set:?} -> {deep:?}"
                 );
             }
@@ -805,10 +1024,9 @@ mod tests {
 
     #[test]
     fn parallel_path_used_above_threshold() {
-        // A big cycle: x = 1 on every edge of an n-cycle violates the
-        // subtour bound on the full... no — S = V attains exactly 0; put
-        // the cycle on an (n − 1)-node subset and attach the last node by
-        // a fractional edge so total mass is n − 1.
+        // A cycle through every node would be tight at S = V, so the
+        // x = 1 cycle runs over the first n − 1 nodes and a fractional
+        // edge attaches the last one, keeping the total mass at n − 1.
         let n = PARALLEL_SEP_THRESHOLD;
         let mut edges: Vec<FracEdge> = (0..n - 1).map(|v| fe(v, (v + 1) % (n - 1), 1.0)).collect();
         // mass so far = n − 1; steal mass from one cycle edge for the

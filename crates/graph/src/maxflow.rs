@@ -2,7 +2,10 @@
 //!
 //! This is the engine behind the subtour-constraint separation oracle
 //! (Theorem 1 / \[12\]): each separation query becomes a small s-t min-cut on
-//! an auxiliary network with real-valued capacities.
+//! an auxiliary network with real-valued capacities. The queries of one
+//! oracle call differ in a single arc, so the oracle solves the flow they
+//! share once, keeps it ([`FlowNetwork::keep_flow`]) and starts every
+//! query from it.
 
 /// Floating-point slack for capacity comparisons.
 const EPS: f64 = 1e-12;
@@ -11,7 +14,8 @@ const EPS: f64 = 1e-12;
 struct FlowEdge {
     to: usize,
     cap: f64,
-    /// Capacity as originally declared — [`FlowNetwork::reset`] restores it.
+    /// The restore point [`FlowNetwork::reset`] returns to: the declared
+    /// capacity, or the residual [`FlowNetwork::keep_flow`] last kept.
     cap0: f64,
     /// Index of the reverse edge in `edges`.
     rev: usize,
@@ -28,7 +32,9 @@ pub type FlowEdgeId = usize;
 /// [`FlowNetwork::max_flow`] call consumed the capacities,
 /// [`FlowNetwork::reset`] restores them in place (no allocation), so one
 /// network can serve many flow queries — the pattern the separation
-/// oracle relies on. All working buffers
+/// oracle relies on. [`FlowNetwork::keep_flow`] moves the restore point
+/// to the current residual, so every later query starts from the flow
+/// kept there instead of from zero. All working buffers
 /// (BFS level/queue, DFS cursors, cut marks) are preallocated once.
 #[derive(Clone, Debug)]
 pub struct FlowNetwork {
@@ -80,22 +86,38 @@ impl FlowNetwork {
         e1
     }
 
-    /// Overrides the *current* capacity of edge `id` (forward direction)
-    /// without touching its declared capacity: the next
-    /// [`FlowNetwork::reset`] reverts the override. This is how one
-    /// reusable network serves per-seed queries — declare the seed edges
-    /// with capacity 0, then raise one per solve.
+    /// Overrides the *current* residual capacity of edge `id` (forward
+    /// direction) without touching its restore point: the next
+    /// [`FlowNetwork::reset`] reverts the override to the declared or kept
+    /// state. This is how one reusable network serves per-seed queries —
+    /// declare the seed edges with capacity 0, then raise one per solve.
+    /// An edge that carries no flow, such as one declared at 0, has its
+    /// capacity as its residual, so raising it is exact after a
+    /// [`FlowNetwork::keep_flow`] too.
     pub fn set_cap(&mut self, id: FlowEdgeId, cap: f64) {
         debug_assert!(cap >= 0.0 && (cap.is_finite() || cap == f64::INFINITY));
         self.edges[id].cap = cap;
     }
 
-    /// Restores every edge to its declared capacity, undoing both flow
-    /// consumption and [`FlowNetwork::set_cap`] overrides. O(edges), no
-    /// allocation — the scratch API for solving many flows on one network.
+    /// Restores every edge to its restore point — the declared capacity,
+    /// or the residual of the last [`FlowNetwork::keep_flow`] — undoing
+    /// both the flow pushed since and [`FlowNetwork::set_cap`] overrides.
+    /// O(edges), no allocation — the scratch API for solving many flows
+    /// on one network.
     pub fn reset(&mut self) {
         for e in &mut self.edges {
             e.cap = e.cap0;
+        }
+    }
+
+    /// Makes the current residual the state [`FlowNetwork::reset`]
+    /// restores: the flow pushed so far is kept, and every later query
+    /// starts from it. After a maximum flow is kept, raising an arc and
+    /// calling [`FlowNetwork::max_flow`] returns only the extra flow the
+    /// raised arc admits; adding the kept value gives the new maximum.
+    pub fn keep_flow(&mut self) {
+        for e in &mut self.edges {
+            e.cap0 = e.cap;
         }
     }
 
@@ -142,9 +164,11 @@ impl FlowNetwork {
         0.0
     }
 
-    /// Computes the maximum s→t flow. Capacities are consumed (the residual
-    /// network remains for [`FlowNetwork::min_cut_source_side`]); call
-    /// [`FlowNetwork::reset`] to restore them for another query.
+    /// Computes the maximum s→t flow on the current residual network, so
+    /// after a [`FlowNetwork::keep_flow`] it returns the flow on top of the
+    /// kept one. Capacities are consumed (the residual network remains for
+    /// [`FlowNetwork::min_cut_source_side`]); call [`FlowNetwork::reset`]
+    /// to restore them for another query.
     pub fn max_flow(&mut self, s: usize, t: usize) -> f64 {
         assert_ne!(s, t, "source and sink must differ");
         let mut flow = 0.0;
@@ -311,6 +335,29 @@ mod tests {
     }
 
     #[test]
+    fn reset_after_keep_flow_restores_the_kept_residual() {
+        // 0 → 1 → 3 saturates at 1; the seed arc 0 → 2 → 3 opens later.
+        let mut f = FlowNetwork::new(4);
+        f.add_edge(0, 1, 2.0);
+        f.add_edge(1, 3, 1.0);
+        let seed = f.add_edge(0, 2, 0.0);
+        f.add_edge(2, 3, 3.0);
+        assert_eq!(f.max_flow(0, 3), 1.0);
+        f.keep_flow();
+        let kept = f.min_cut_source_side(0);
+        assert_eq!(kept, vec![true, true, false, false]);
+        // The kept flow is maximal, so nothing more fits until the seed opens.
+        assert_eq!(f.max_flow(0, 3), 0.0);
+        f.set_cap(seed, f64::INFINITY);
+        assert_eq!(f.max_flow(0, 3), 3.0, "the extra flow through the seed");
+        f.reset();
+        assert_eq!(f.min_cut_source_side(0), kept, "reset returns to the kept state");
+        assert_eq!(f.max_flow(0, 3), 0.0);
+        f.set_cap(seed, f64::INFINITY);
+        assert_eq!(f.max_flow(0, 3), 3.0, "the same extra flow again");
+    }
+
+    #[test]
     fn cut_side_into_matches_allocating_variant() {
         let mut f = FlowNetwork::new(4);
         f.add_edge(0, 1, 2.0);
@@ -398,6 +445,42 @@ mod tests {
                     .map(|&(_, _, c)| c)
                     .sum();
                 prop_assert!((flow - cut).abs() < 1e-6, "flow {flow} vs extracted cut {cut}");
+            }
+
+            /// The separation oracle's warm start: a kept maximum flow plus
+            /// the extra flow after one zero arc is raised is the raised
+            /// network's maximum flow, with the same minimal source side.
+            /// Integer capacities keep every f64 sum exact.
+            #[test]
+            fn kept_flow_plus_extra_equals_a_fresh_max_flow(
+                edges in proptest::collection::vec((0usize..6, 0usize..6, 0u32..20), 1..15),
+                (a, b) in (0usize..6, 0usize..6),
+                raised in 1u32..20,
+            ) {
+                let n = 6;
+                prop_assume!(a != b);
+                let dir: Vec<(usize, usize, f64)> = edges
+                    .into_iter()
+                    .filter(|(u, v, _)| u != v)
+                    .map(|(u, v, c)| (u, v, c as f64))
+                    .collect();
+                let build = |arc_cap: f64| {
+                    let mut f = FlowNetwork::new(n);
+                    for &(u, v, c) in &dir {
+                        f.add_edge(u, v, c);
+                    }
+                    let arc = f.add_edge(a, b, arc_cap);
+                    (f, arc)
+                };
+                let (mut warm, arc) = build(0.0);
+                let base = warm.max_flow(0, n - 1);
+                warm.keep_flow();
+                warm.set_cap(arc, raised as f64);
+                let extra = warm.max_flow(0, n - 1);
+                let (mut fresh, _) = build(raised as f64);
+                let want = fresh.max_flow(0, n - 1);
+                prop_assert_eq!(base + extra, want);
+                prop_assert_eq!(warm.min_cut_source_side(0), fresh.min_cut_source_side(0));
             }
         }
     }

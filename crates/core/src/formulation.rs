@@ -42,7 +42,7 @@
 //! the same polytope.
 
 use crate::cutpool::{select_batch, CutPool};
-use crate::separation::{self, FracEdge, SepCounters, ViolatedSet, PARALLEL_SEP_THRESHOLD};
+use crate::separation::{self, FracEdge, SepCounters, ViolatedSet};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -141,8 +141,12 @@ impl std::error::Error for CutLpError {}
 struct WarmState {
     lp: IncrementalLp,
     n: usize,
-    /// Variable and endpoints per caller tag, in first-solve edge order.
-    vars: BTreeMap<usize, (VarId, usize, usize)>,
+    /// Variable per caller tag.
+    vars: BTreeMap<usize, VarId>,
+    /// Endpoints of each variable, indexed by variable.
+    ends: Vec<(usize, usize)>,
+    /// An all-false mask over the `n` nodes, lent to [`CutLp::subtour_row`].
+    mask: Vec<bool>,
     /// Tags whose variable is still free (upper bound 1).
     active: BTreeSet<usize>,
     /// Materialized degree-cap rows: node → (row, β, vacuous rhs).
@@ -419,14 +423,7 @@ impl CutLp {
             }
         }
 
-        let mut cands = separation::separate(
-            n,
-            frac,
-            SEP_TOL,
-            n >= PARALLEL_SEP_THRESHOLD,
-            true,
-            &self.counters,
-        );
+        let mut cands = separation::separate(n, frac, SEP_TOL, true, &self.counters);
         if cands.is_empty() {
             return Ok(0);
         }
@@ -497,18 +494,29 @@ impl CutLp {
         })
     }
 
-    /// The LP row of `set` (sorted), or `None` when it cannot bind (fewer
-    /// internal edges than the bound).
+    /// The LP row of `set` (sorted), its terms in variable order, or `None`
+    /// when it cannot bind (fewer internal edges than the bound). `ends`
+    /// holds each variable's endpoints; `mask` is all-false over the nodes
+    /// and is left so. A member outside the mask ends no edge but counts in
+    /// `|S|`, as in [`CutPool::screen`].
     fn subtour_row(
-        vars: &BTreeMap<usize, (VarId, usize, usize)>,
+        ends: &[(usize, usize)],
+        mask: &mut [bool],
         set: &[usize],
     ) -> Option<(Vec<(VarId, f64)>, f64)> {
-        let member = |v: usize| set.binary_search(&v).is_ok();
-        let internal: Vec<(VarId, f64)> = vars
-            .values()
-            .filter(|&&(_, u, v)| member(u) && member(v))
-            .map(|&(var, _, _)| (var, 1.0))
+        let inside = &set[..set.partition_point(|&v| v < mask.len())];
+        for &v in inside {
+            mask[v] = true;
+        }
+        let internal: Vec<(VarId, f64)> = ends
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(u, v))| mask[u] && mask[v])
+            .map(|(j, _)| (VarId(j), 1.0))
             .collect();
+        for &v in inside {
+            mask[v] = false;
+        }
         (internal.len() >= set.len()).then_some((internal, set.len() as f64 - 1.0))
     }
 
@@ -518,11 +526,15 @@ impl CutLp {
         let mut lp = IncrementalLp::new();
         lp.set_ctx(self.ctx.clone());
         let mut vars = BTreeMap::new();
+        let mut ends = Vec::with_capacity(edges.len());
         let mut active = BTreeSet::new();
         let mut all = Vec::with_capacity(edges.len());
         for e in edges {
             let v = lp.add_unit_var(e.cost);
-            vars.insert(e.tag, (v, e.u, e.v));
+            let fresh = vars.insert(e.tag, v).is_none();
+            debug_assert!(fresh, "tags are EdgeId indices, so no two edges share one");
+            debug_assert_eq!(v.index(), ends.len(), "variables are numbered in edge order");
+            ends.push((e.u, e.v));
             active.insert(e.tag);
             all.push((v, 1.0));
         }
@@ -536,7 +548,7 @@ impl CutLp {
             let incident: Vec<(VarId, f64)> = edges
                 .iter()
                 .filter(|e| e.u == node || e.v == node)
-                .map(|e| (vars[&e.tag].0, 1.0))
+                .map(|e| (vars[&e.tag], 1.0))
                 .collect();
             if incident.is_empty() || beta >= incident.len() as f64 - 1e-12 {
                 continue;
@@ -547,7 +559,17 @@ impl CutLp {
             active_caps.insert(node);
         }
 
-        WarmState { lp, n, vars, active, cap_rows, active_caps, subtour_rows: 0 }
+        WarmState {
+            lp,
+            n,
+            vars,
+            ends,
+            mask: vec![false; n],
+            active,
+            cap_rows,
+            active_caps,
+            subtour_rows: 0,
+        }
     }
 
     /// Appends LP rows for pool cuts activated since the last
@@ -559,9 +581,8 @@ impl CutLp {
         let state = self.state.as_mut().expect("warm state exists inside the solve loop");
         let mut rows = Vec::new();
         while state.subtour_rows < self.pool.active_count() {
-            if let Some(row) =
-                Self::subtour_row(&state.vars, self.pool.active_set(state.subtour_rows))
-            {
+            let set = self.pool.active_set(state.subtour_rows);
+            if let Some(row) = Self::subtour_row(&state.ends, &mut state.mask, set) {
                 rows.push(row);
             }
             state.subtour_rows += 1;
@@ -581,11 +602,11 @@ impl CutLp {
         let reuse = self.state.as_ref().is_some_and(|s| Self::compatible(s, n, edges, caps));
         if reuse {
             // Apply the shrink as bound/rhs mutations on the live LP.
-            let mut state = self.state.take().unwrap();
+            let mut state = self.state.take().expect("compatible() just read the warm state");
             let keep: BTreeSet<usize> = edges.iter().map(|e| e.tag).collect();
             let dropped: Vec<usize> = state.active.difference(&keep).copied().collect();
             for tag in dropped {
-                state.lp.set_upper(state.vars[&tag].0, 0.0);
+                state.lp.set_upper(state.vars[&tag], 0.0);
                 state.active.remove(&tag);
             }
             let cap_keep: BTreeSet<usize> = caps.iter().map(|&(v, _)| v).collect();
@@ -600,6 +621,9 @@ impl CutLp {
             let state = self.build_state(n, edges, caps);
             self.state = Some(state);
         }
+        // Each edge's LP column, looked up once per call, not once per round.
+        let vars = &self.state.as_ref().expect("warm state was just set").vars;
+        let cols: Vec<usize> = edges.iter().map(|e| vars[&e.tag].index()).collect();
 
         for round in 0..MAX_CUT_ROUNDS {
             let ctx = &self.ctx;
@@ -613,7 +637,6 @@ impl CutLp {
                 let _span = wsn_obs::span_with("lp-solve", vec![wsn_obs::field("round", round)]);
                 self.materialize_pending().lp.solve().map_err(lift)?
             };
-            let state = self.state.as_ref().expect("warm state exists inside the solve loop");
             let lp_elapsed = lp_start.elapsed();
             self.metrics.lp_ns.add(lp_elapsed.as_nanos() as u64);
             self.metrics.round_lp_us.observe(lp_elapsed.as_micros() as u64);
@@ -637,7 +660,7 @@ impl CutLp {
             // support only: an extreme point leaves most edges at 0, and a
             // 0 or −0 term leaves every sum the round takes bit for bit
             // unchanged.
-            let x: Vec<f64> = edges.iter().map(|e| sol.x[state.vars[&e.tag].0.index()]).collect();
+            let x: Vec<f64> = cols.iter().map(|&j| sol.x[j]).collect();
             let frac: Vec<FracEdge> = edges
                 .iter()
                 .zip(&x)
@@ -685,6 +708,22 @@ mod tests {
             }
         }
         edges
+    }
+
+    /// The row builder [`CutLp::subtour_row`] replaced, kept as its
+    /// reference: every variable with its endpoints in a tag-ordered map,
+    /// and a binary search of the sorted set per endpoint.
+    fn subtour_row_by_search(
+        vars: &BTreeMap<usize, (VarId, usize, usize)>,
+        set: &[usize],
+    ) -> Option<(Vec<(VarId, f64)>, f64)> {
+        let member = |v: usize| set.binary_search(&v).is_ok();
+        let internal: Vec<(VarId, f64)> = vars
+            .values()
+            .filter(|&&(_, u, v)| member(u) && member(v))
+            .map(|&(var, _, _)| (var, 1.0))
+            .collect();
+        (internal.len() >= set.len()).then_some((internal, set.len() as f64 - 1.0))
     }
 
     fn assert_integral_tree(n: usize, edges: &[LpEdge], x: &[f64]) {
@@ -1011,6 +1050,55 @@ mod tests {
         assert!(single.cut_rounds() >= batched.cut_rounds());
         assert_eq!(single.pool_scans(), 0, "single-cut mode never consults the pool");
         assert_eq!(single.seeds_pruned(), 0, "single-cut mode never prunes seeds");
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+            #[test]
+            fn subtour_rows_match_the_binary_search_builder(
+                (n, raw) in (2usize..12).prop_flat_map(|n| {
+                    (Just(n), proptest::collection::vec((0..n, 0..n, any::<u64>()), 1..40))
+                }),
+                sets in proptest::collection::vec(
+                    proptest::collection::vec(0usize..16, 0..14),
+                    1..8,
+                ),
+            ) {
+                // Tags number the edges in the order of random keys, so tag
+                // order and variable (edge) order disagree.
+                let mut order: Vec<usize> = (0..raw.len()).collect();
+                order.sort_by_key(|&i| raw[i].2);
+                let mut tags = vec![0; raw.len()];
+                for (tag, &i) in order.iter().enumerate() {
+                    tags[i] = tag;
+                }
+                let edges: Vec<LpEdge> =
+                    raw.iter().zip(&tags).map(|(&(u, v, _), &tag)| lpe(u, v, 1.0, tag)).collect();
+                let mut state = CutLp::new().build_state(n, &edges, &[]);
+                let by_tag: BTreeMap<usize, (VarId, usize, usize)> =
+                    edges.iter().map(|e| (e.tag, (state.vars[&e.tag], e.u, e.v))).collect();
+                // Members run past `n`, as in a pool kept from a larger
+                // instance.
+                for mut set in sets {
+                    set.sort_unstable();
+                    set.dedup();
+                    let want = subtour_row_by_search(&by_tag, &set).map(|(mut terms, rhs)| {
+                        terms.sort_by_key(|&(var, _)| var);
+                        (terms, rhs)
+                    });
+                    let got = CutLp::subtour_row(&state.ends, &mut state.mask, &set);
+                    if let Some((terms, _)) = &got {
+                        prop_assert!(terms.windows(2).all(|w| w[0].0 < w[1].0), "variable order");
+                    }
+                    prop_assert_eq!(got, want, "set {:?}", set);
+                    prop_assert!(state.mask.iter().all(|&b| !b), "the mask is left all-false");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use super::{lift, CutLp, CutLpError, CutLpOutcome, LpEdge, MAX_CUT_ROUNDS, SEP_TOL};
 use crate::cutpool::select_batch;
-use crate::separation::{self, FracEdge, PARALLEL_SEP_THRESHOLD};
+use crate::separation::{self, FracEdge};
 use wsn_lp::{LpProblem, LpStatus, Relation, VarId};
 
 /// Which solver a test-built [`CutLp`] runs.
@@ -53,14 +53,7 @@ impl CutLp {
 
     /// The textbook round: the most violated oracle set gets a row.
     fn separate_single_cut(&mut self, n: usize, frac: &[FracEdge]) -> Result<usize, CutLpError> {
-        let mut cands = separation::separate(
-            n,
-            frac,
-            SEP_TOL,
-            n >= PARALLEL_SEP_THRESHOLD,
-            false,
-            &self.counters,
-        );
+        let mut cands = separation::separate(n, frac, SEP_TOL, false, &self.counters);
         if cands.is_empty() {
             return Ok(0);
         }

@@ -41,11 +41,12 @@
 //! arithmetic every seed returns the set a from-zero flow finds; on
 //! dyadic points the tests check this bit for bit against the from-zero
 //! sweep. In floating point, rounding can pick the other of two minimum
-//! cuts that tie to within rounding (DESIGN.md §10 counts them). The
-//! serial path reuses the call's network across waves; parallel workers
-//! each clone it with the base flow kept. Results are merged through a
-//! `BTreeMap`, so the parallel and serial paths return **identical**
-//! output (a property the proptests pin down).
+//! cuts that tie to within rounding (DESIGN.md §10 counts them). Every
+//! seed runs on the calling thread, on the call's one network: fanning a
+//! wave out to worker threads cost more in thread spawns and network
+//! clones than its min-cuts take, at every size the bench runs (DESIGN.md
+//! §8). Results are merged through a `BTreeMap`, so the output order is
+//! canonical.
 //!
 //! Before any min-cut, a **disconnected-support pre-check** answers the
 //! call when the support (`x_e > tol`) splits into components and one of
@@ -58,8 +59,8 @@
 //! cutting-plane loop always sets) one sound short-circuit cuts the
 //! per-call min-cut count below `n`: the **covered-seed skip** passes
 //! over seeds already contained in a violated set found earlier this
-//! call. Seeds are processed in fixed-width waves of 16 (`SEED_CHUNK`) so
-//! the serial and parallel paths skip exactly the same seeds. Skipping a
+//! call. Seeds are processed in fixed-width waves of 16 (`SEED_CHUNK`), and
+//! only sets found by earlier waves cover a seed. Skipping a
 //! covered seed can suppress *additional* violated sets, never all of
 //! them: a seed is covered only once a violated set was found, and the
 //! first seed inside a violated set that is not covered finds one. The
@@ -69,14 +70,10 @@
 use std::collections::BTreeMap;
 use wsn_graph::{components, FlowEdgeId, FlowNetwork};
 use wsn_obs::{Counter, Histogram, Registry};
-use wsn_util::parallel_map_with;
-
-/// Node count at which the per-seed min-cuts are worth fanning out.
-pub(crate) const PARALLEL_SEP_THRESHOLD: usize = 64;
 
 /// Seeds are processed in waves of this width; violated sets found by
-/// earlier waves veto covered seeds in later ones. A fixed constant keeps
-/// the serial and parallel paths output-identical.
+/// earlier waves veto covered seeds in later ones, never sets found within
+/// the same wave.
 const SEED_CHUNK: usize = 16;
 
 /// An edge of the current LP together with its fractional value.
@@ -101,9 +98,10 @@ pub struct ViolatedSet {
 
 /// Counter handles for the oracle. The owner (`CutLp`, or the free
 /// functions below) resolves these once from a metrics registry and the
-/// engine bumps them from whatever thread runs a seed — the handles are
-/// plain `Arc` atomics, so parallel workers need not inherit (or even know
-/// about) an ambient collector and final sums are schedule-independent.
+/// engine bumps them as it runs each seed — the handles are plain `Arc`
+/// atomics, so a solver running on a worker thread (a service worker, a
+/// parallel experiment sweep) counts into the registry it was built under
+/// without inheriting an ambient collector.
 #[derive(Clone, Debug)]
 pub struct SepCounters {
     pub(crate) calls: Counter,
@@ -111,8 +109,7 @@ pub struct SepCounters {
     pub(crate) violated: Counter,
     pub(crate) seeds_pruned: Counter,
     /// Cumulative wall time inside maxflow calls: each call's base flow
-    /// plus every seed's extra flow. A sum of atomics, so it stays
-    /// schedule-independent under parallel fan-out.
+    /// plus every seed's extra flow.
     pub(crate) maxflow_ns: Counter,
     /// Per-seed maxflow wall time (µs) — the profiler's attribution of
     /// oracle cost to individual seeds, not just the stage total. The base
@@ -147,24 +144,24 @@ impl SepCounters {
 ///
 /// The list is deduplicated; each returned `S` is verified to violate
 /// `x(E(S)) ≤ |S| − 1` by at least `tol` before being reported.
-pub fn violated_sets(n: usize, edges: &[FracEdge], tol: f64) -> Vec<Vec<usize>> {
-    violated_sets_with(n, edges, tol, n >= PARALLEL_SEP_THRESHOLD)
-}
-
-/// As [`violated_sets`], with explicit control over parallel fan-out of
-/// the per-seed min-cuts. Output is identical either way: every returned
-/// set is sorted, and the collection order is canonical (`BTreeMap`).
 ///
 /// This is [`separate`] without seed pruning; the cutting-plane loop
 /// calls [`separate`] with pruning on.
+pub fn violated_sets(n: usize, edges: &[FracEdge], tol: f64) -> Vec<Vec<usize>> {
+    let counters = SepCounters::ambient_or_detached();
+    separate(n, edges, tol, false, &counters).into_iter().map(|vs| vs.set).collect()
+}
+
+/// [`violated_sets`]. The last argument once chose a parallel fan-out of
+/// the per-seed min-cuts; every seed now runs on the calling thread, and
+/// the argument is ignored.
 pub fn violated_sets_with(
     n: usize,
     edges: &[FracEdge],
     tol: f64,
-    parallel: bool,
+    _parallel: bool,
 ) -> Vec<Vec<usize>> {
-    let counters = SepCounters::ambient_or_detached();
-    separate(n, edges, tol, parallel, false, &counters).into_iter().map(|vs| vs.set).collect()
+    violated_sets(n, edges, tol)
 }
 
 /// Runs the separation oracle against the fractional point `edges`, on
@@ -181,11 +178,10 @@ pub fn separate(
     n: usize,
     edges: &[FracEdge],
     tol: f64,
-    parallel: bool,
     prune: bool,
     counters: &SepCounters,
 ) -> Vec<ViolatedSet> {
-    separate_on(support_network, keep_base_flow, n, edges, tol, parallel, prune, counters)
+    separate_on(support_network, keep_base_flow, n, edges, tol, prune, counters)
 }
 
 /// The auxiliary network of one call plus, per seed `s`, the id of its
@@ -263,14 +259,12 @@ fn node_weights(n: usize, edges: &[FracEdge]) -> Vec<f64> {
 /// so tests can run the same sweep over the network that declares every
 /// instance edge, and with every seed's flow solved from zero (the oracle
 /// for [`keep_base_flow`]).
-#[allow(clippy::too_many_arguments)]
 fn separate_on(
     build: fn(usize, &[FracEdge], &[f64]) -> SeedNetwork,
     start: fn(&mut FlowNetwork, usize, &SepCounters) -> f64,
     n: usize,
     edges: &[FracEdge],
     tol: f64,
-    parallel: bool,
     prune: bool,
     counters: &SepCounters,
 ) -> Vec<ViolatedSet> {
@@ -312,23 +306,21 @@ fn separate_on(
     let p_neg: f64 = w.iter().filter(|&&x| x < 0.0).sum();
     let (mut net, seed_arcs) = build(n, edges, &w);
     let base = start(&mut net, n, counters);
-    // The serial path's network and cut-side buffer; each parallel worker
-    // clones it, base flow kept, for its wave.
-    let mut scratch = (net, Vec::new());
+    let mut side = Vec::new();
 
-    let run_seed = |(net, side): &mut (FlowNetwork, Vec<bool>), s: usize| -> Option<ViolatedSet> {
+    let mut run_seed = |s: usize| -> Option<ViolatedSet> {
         counters.min_cut_seeds.inc();
-        let flow = seed_flow(net, seed_arcs[s], base, n, counters);
+        let flow = seed_flow(&mut net, seed_arcs[s], base, n, counters);
         let min_f = p_neg + flow - 1.0;
         if min_f >= -tol {
             return None;
         }
-        net.min_cut_source_side_into(n, side); // from `src = n`
+        net.min_cut_source_side_into(n, &mut side); // from `src = n`
         let size = side[..n].iter().filter(|&&b| b).count();
         if size < 2 || size >= n {
             return None;
         }
-        let viol = violation_of_mask(edges, side, size);
+        let viol = violation_of_mask(edges, &side, size);
         (viol > tol)
             .then(|| ViolatedSet { set: (0..n).filter(|&v| side[v]).collect(), violation: viol })
     };
@@ -339,15 +331,8 @@ fn separate_on(
         chunk.clear();
         chunk.extend((first..end).filter(|&s| !(prune && covered[s])));
         pruned += (end - first - chunk.len()) as u64;
-        if chunk.is_empty() {
-            continue;
-        }
-        let wave: Vec<Option<ViolatedSet>> = if parallel && chunk.len() > 1 {
-            parallel_map_with(chunk.len(), || scratch.clone(), |sc, i| run_seed(sc, chunk[i]))
-        } else {
-            chunk.iter().map(|&s| run_seed(&mut scratch, s)).collect()
-        };
-        for vs in wave.into_iter().flatten() {
+        let wave: Vec<ViolatedSet> = chunk.iter().filter_map(|&s| run_seed(s)).collect();
+        for vs in wave {
             for &v in &vs.set {
                 covered[v] = true;
             }
@@ -508,8 +493,8 @@ mod tests {
         sets.iter().map(|vs| (vs.set.clone(), vs.violation.to_bits())).collect()
     }
 
-    /// Every `(prune, parallel)` combination of [`separate`].
-    const SWEEPS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
+    /// Both `prune` settings of [`separate`].
+    const SWEEPS: [bool; 2] = [false, true];
 
     #[test]
     fn spanning_tree_point_has_no_violation() {
@@ -573,7 +558,7 @@ mod tests {
     fn engine_reports_violation_amounts() {
         let (_obs, counters) = detached_counters();
         let edges = vec![fe(0, 1, 0.9), fe(1, 2, 0.9), fe(0, 2, 0.9), fe(0, 3, 0.3)];
-        let sets = separate(4, &edges, 1e-7, false, false, &counters);
+        let sets = separate(4, &edges, 1e-7, false, &counters);
         let tri = sets.iter().find(|vs| vs.set == vec![0, 1, 2]).expect("triangle separated");
         assert!((tri.violation - 0.7).abs() < 1e-9, "got {}", tri.violation);
     }
@@ -583,7 +568,7 @@ mod tests {
         let (_obs, counters) = detached_counters();
         // Pair mass exactly 1.0 is tight, not violated.
         let edges = vec![fe(0, 1, 0.5), fe(0, 1, 0.5), fe(1, 2, 1.0)];
-        let sets = separate(3, &edges, 1e-7, false, true, &counters);
+        let sets = separate(3, &edges, 1e-7, true, &counters);
         assert!(sets.is_empty(), "tight pair must not be reported: {sets:?}");
     }
 
@@ -599,7 +584,7 @@ mod tests {
         edges.push(fe(15, 16, 0.9));
         edges.push(fe(16, 17, 0.9));
         edges.push(fe(15, 17, 0.9));
-        let sets = separate(18, &edges, 1e-7, false, true, &counters);
+        let sets = separate(18, &edges, 1e-7, true, &counters);
         assert!(sets.iter().any(|vs| vs.set == vec![15, 16, 17]));
         assert_eq!(obs.registry().counter("sep.seeds_pruned").get(), 2, "wave-2 seeds covered");
         assert_eq!(obs.registry().counter("sep.min_cut_seeds").get(), 16);
@@ -796,7 +781,7 @@ mod tests {
                 let Some(edges) = normalized(n, raw) else { return Ok(()) };
                 let tol = 1e-6;
                 let (_obs, counters) = detached_counters();
-                let sets = separate(n, &edges, tol, false, true, &counters);
+                let sets = separate(n, &edges, tol, true, &counters);
                 let brute = brute_violated(n, &edges, tol);
                 prop_assert_eq!(!sets.is_empty(), brute,
                     "pruning changed the feasibility verdict");
@@ -819,30 +804,12 @@ mod tests {
                 let support = edges.iter().filter(|e| e.x > tol).map(|e| (e.u, e.v));
                 prop_assume!(components(n, support).1 > 1);
                 let (obs, counters) = detached_counters();
-                let sets = separate(n, &edges, tol, false, true, &counters);
+                let sets = separate(n, &edges, tol, true, &counters);
                 prop_assert!(!sets.is_empty(), "a disconnected LP point must be cut off");
                 prop_assert_eq!(obs.registry().counter("sep.min_cut_seeds").get(), 0);
                 for vs in &sets {
                     prop_assert!(violation_sorted(&edges, &vs.set) > tol, "bogus set {:?}", vs.set);
                 }
-            }
-
-            #[test]
-            fn parallel_separation_identical_to_serial(
-                raw in proptest::collection::vec((0usize..9, 0usize..9, 0u32..=100), 8..24)
-            ) {
-                let n = 9;
-                let Some(edges) = normalized(n, raw) else { return Ok(()) };
-                let serial = violated_sets_with(n, &edges, 1e-6, false);
-                let parallel = violated_sets_with(n, &edges, 1e-6, true);
-                prop_assert_eq!(serial, parallel);
-
-                // The pruned engine is wave-chunked precisely so this holds
-                // with pruning too.
-                let (_obs, counters) = detached_counters();
-                let ser = separate(n, &edges, 1e-6, false, true, &counters);
-                let par = separate(n, &edges, 1e-6, true, true, &counters);
-                prop_assert_eq!(ser, par);
             }
 
             #[test]
@@ -867,20 +834,12 @@ mod tests {
                     prop_assert_eq!(sup.min_cut_source_side(n), full.min_cut_source_side(n));
                 }
                 // Whole sweeps: the same sets with bit-identical violations.
-                for (prune, parallel) in SWEEPS {
+                for prune in SWEEPS {
                     let (_obs, counters) = detached_counters();
-                    let got = separate(n, &edges, tol, parallel, prune, &counters);
-                    let want = separate_on(
-                        full_network,
-                        keep_base_flow,
-                        n,
-                        &edges,
-                        tol,
-                        parallel,
-                        prune,
-                        &counters,
-                    );
-                    prop_assert_eq!(bits(&got), bits(&want), "prune {} parallel {}", prune, parallel);
+                    let got = separate(n, &edges, tol, prune, &counters);
+                    let want =
+                        separate_on(full_network, keep_base_flow, n, &edges, tol, prune, &counters);
+                    prop_assert_eq!(bits(&got), bits(&want), "prune {}", prune);
                 }
             }
 
@@ -900,20 +859,12 @@ mod tests {
                     prop_assert_eq!(sw, sc, "seed {} cut side", s);
                 }
                 // Whole sweeps: the same sets with bit-identical violations.
-                for (prune, parallel) in SWEEPS {
+                for prune in SWEEPS {
                     let (_obs, counters) = detached_counters();
-                    let got = separate(n, &edges, tol, parallel, prune, &counters);
-                    let want = separate_on(
-                        support_network,
-                        from_zero,
-                        n,
-                        &edges,
-                        tol,
-                        parallel,
-                        prune,
-                        &counters,
-                    );
-                    prop_assert_eq!(bits(&got), bits(&want), "prune {} parallel {}", prune, parallel);
+                    let got = separate(n, &edges, tol, prune, &counters);
+                    let want =
+                        separate_on(support_network, from_zero, n, &edges, tol, prune, &counters);
+                    prop_assert_eq!(bits(&got), bits(&want), "prune {}", prune);
                 }
             }
 
@@ -970,11 +921,11 @@ mod tests {
                     .map(|&mask| (0..n).filter(|&v| mask & (1 << v) != 0).collect::<Vec<_>>())
                     .filter(|set| set.len() >= 2)
                     .collect();
-                for (prune, parallel) in SWEEPS {
+                for prune in SWEEPS {
                     let (_obs, counters) = detached_counters();
-                    let got = separate(n, &padded, tol, parallel, prune, &counters);
-                    let want = separate(n, &support, tol, parallel, prune, &counters);
-                    prop_assert_eq!(bits(&got), bits(&want), "prune {} parallel {}", prune, parallel);
+                    let got = separate(n, &padded, tol, prune, &counters);
+                    let want = separate(n, &support, tol, prune, &counters);
+                    prop_assert_eq!(bits(&got), bits(&want), "prune {}", prune);
                     sets.extend(want.into_iter().map(|vs| vs.set));
                 }
                 let mut pool = crate::CutPool::new();
@@ -1023,19 +974,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_used_above_threshold() {
+    fn sixty_four_node_cycle_is_separated() {
         // A cycle through every node would be tight at S = V, so the
         // x = 1 cycle runs over the first n − 1 nodes and a fractional
         // edge attaches the last one, keeping the total mass at n − 1.
-        let n = PARALLEL_SEP_THRESHOLD;
+        let n = 64;
         let mut edges: Vec<FracEdge> = (0..n - 1).map(|v| fe(v, (v + 1) % (n - 1), 1.0)).collect();
         // mass so far = n − 1; steal mass from one cycle edge for the
         // attachment so the equality still holds.
         edges[0].x = 0.5;
         edges.push(fe(0, n - 1, 0.5));
-        let sets = violated_sets(n, &edges, 1e-7); // n ≥ threshold → parallel
+        let sets = violated_sets(n, &edges, 1e-7);
         let expected: Vec<usize> = (0..n - 1).collect();
         assert!(sets.iter().any(|s| s == &expected), "cycle must be separated");
-        assert_eq!(sets, violated_sets_with(n, &edges, 1e-7, false));
+        assert_eq!(sets, violated_sets_with(n, &edges, 1e-7, true), "the flag is ignored");
     }
 }

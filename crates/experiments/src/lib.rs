@@ -41,6 +41,7 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod obs_report;
+pub mod pins;
 pub mod serve_storm;
 pub mod table;
 pub mod workloads;

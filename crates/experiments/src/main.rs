@@ -4,6 +4,7 @@
 //! mrlc-experiments all [--fast]
 //! mrlc-experiments fig1|fig2|fig3|fig4|fig5|fig7|fig8|fig9|fig10|fig11|fig12|fig13 [--fast]
 //! mrlc-experiments ablation [--fast]
+//! mrlc-experiments pin-figures      # rewrite tests/figures/ from the --fast figures
 //! mrlc-experiments bench-perf [--smoke] [--out=PATH]   # writes BENCH_ira.json
 //! mrlc-experiments serve-storm [--fast] [--json]   # solve-service fleet throughput/p99
 //! mrlc-experiments serve-chaos            # seeded worker-kill storm (CI smoke)
@@ -226,16 +227,8 @@ fn main() {
         "fig4" => print!("{}", fig4::render(&fig4::run())),
         "fig6" => print!("{}", fig6::render(&fig6::run(2015))),
         "fig5" => print!("{}", fig5::render(&fig5::run())),
-        "fig7" => {
-            let cfg = if fast { fig7::Config::fast() } else { fig7::Config::default() };
-            print!("{}", fig7::render(&fig7::run(&cfg)));
-        }
-        "fig8" => {
-            let cfg = if fast { fig8::Config::fast() } else { fig8::Config::default() };
-            print!(
-                "{}",
-                fig8::render(&fig8::run(&cfg), "Fig. 8 — random graphs, equal energy (3000 J)")
-            );
+        "fig7" | "fig8" | "fig11" | "fig12" | "fig13" => {
+            print!("{}", pins::render(name, fast).expect("a pinned figure"));
         }
         "fig9" => {
             let cfg = if fast { fig9::fast_config() } else { fig9::paper_config() };
@@ -244,15 +237,6 @@ fn main() {
         "fig10" => {
             let cfg = if fast { fig10::Config::fast() } else { fig10::Config::default() };
             print!("{}", fig10::render(&fig10::run(&cfg)));
-        }
-        "fig11" | "fig12" | "fig13" => {
-            let cfg = if fast { fig11_13::Config::fast() } else { fig11_13::Config::default() };
-            let records = fig11_13::run(&cfg);
-            match name {
-                "fig11" => print!("{}", fig11_13::render_fig11(&records)),
-                "fig12" => print!("{}", fig11_13::render_fig12(&records)),
-                _ => print!("{}", fig11_13::render_fig13(&records)),
-            }
         }
         "pareto" => {
             let cfg = if fast { ext_pareto::Config::fast() } else { ext_pareto::Config::default() };
@@ -358,6 +342,17 @@ fn main() {
                 std::process::exit(1);
             }
         }
+        "pin-figures" => {
+            for name in pins::PINNED {
+                let path = pins::pin_path(name);
+                let text = pins::render(name, true).expect("a pinned figure");
+                if let Err(e) = std::fs::write(&path, text) {
+                    eprintln!("cannot write {}: {e}", path.display());
+                    std::process::exit(1);
+                }
+                println!("wrote {}", path.display());
+            }
+        }
         "bench-perf" => {
             let cfg = if smoke || fast {
                 bench_perf::Config::smoke()
@@ -378,7 +373,7 @@ fn main() {
         other => {
             eprintln!("unknown figure `{other}`");
             eprintln!(
-                "usage: mrlc-experiments [all|fig1..fig13|ablation|pareto|optgap|latency|drift|spatial|solvers|stability|scalability|faults|resilience|serve-storm|serve-chaos|bench-perf|bench-check|obs-report] [--fast|--smoke] [--out=PATH] [--trace=PATH] [--metrics=PATH] [--dump-dir=DIR] [--folded]"
+                "usage: mrlc-experiments [all|fig1..fig13|ablation|pin-figures|pareto|optgap|latency|drift|spatial|solvers|stability|scalability|faults|resilience|serve-storm|serve-chaos|bench-perf|bench-check|obs-report] [--fast|--smoke] [--out=PATH] [--trace=PATH] [--metrics=PATH] [--dump-dir=DIR] [--folded]"
             );
             std::process::exit(2);
         }

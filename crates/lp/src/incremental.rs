@@ -121,7 +121,7 @@ impl SpRow {
         for (c, v) in pairs {
             if let Some(last) = row.cols.last() {
                 if *last as usize == c {
-                    *row.vals.last_mut().unwrap() += v;
+                    *row.vals.last_mut().expect("`cols` and `vals` grow together") += v;
                     continue;
                 }
             }

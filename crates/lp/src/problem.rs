@@ -67,20 +67,31 @@ impl LpProblem {
         self.add_var(cost, 0.0, 1.0)
     }
 
-    /// Adds a linear constraint. Duplicate variable mentions are summed.
+    /// Adds a linear constraint. Its terms are stored by variable index;
+    /// duplicate variable mentions are summed in the order given, starting
+    /// from `0.0` (so a lone `−0.0` is stored as `+0.0`).
     ///
     /// # Panics
     /// Panics if a term references an unknown variable or has a non-finite
     /// coefficient, or if `rhs` is non-finite.
     pub fn add_constraint(&mut self, terms: &[(VarId, f64)], rel: Relation, rhs: f64) {
         assert!(rhs.is_finite(), "constraint rhs must be finite");
-        let mut dense: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
+        let mut pairs: Vec<(usize, f64)> = Vec::with_capacity(terms.len());
         for &(v, a) in terms {
             assert!(v.index() < self.cost.len(), "constraint references unknown variable");
             assert!(a.is_finite(), "constraint coefficient must be finite");
-            *dense.entry(v.index()).or_insert(0.0) += a;
+            pairs.push((v.index(), a));
         }
-        self.constraints.push(Constraint { terms: dense.into_iter().collect(), rel, rhs });
+        // Stable, so repeated mentions keep their input order.
+        pairs.sort_by_key(|&(j, _)| j);
+        let mut merged: Vec<(usize, f64)> = Vec::with_capacity(pairs.len());
+        for (j, a) in pairs {
+            match merged.last_mut() {
+                Some((last, sum)) if *last == j => *sum += a,
+                _ => merged.push((j, 0.0 + a)),
+            }
+        }
+        self.constraints.push(Constraint { terms: merged, rel, rhs });
     }
 
     /// Number of variables.
@@ -167,6 +178,54 @@ mod tests {
         assert!(!p.is_feasible(&[1.2], 1e-9)); // violates row
         assert!(!p.is_feasible(&[2.5], 1e-9)); // above upper bound
         assert!(!p.is_feasible(&[], 1e-9)); // wrong arity
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A coefficient drawn to stress the merge: signed zeros, and
+        /// magnitudes far enough apart that a sum's rounding depends on
+        /// the order of its terms.
+        fn coefficient(kind: u32, k: i32) -> f64 {
+            match kind {
+                0 => 0.0,
+                1 => -0.0,
+                2 => k as f64 * 0.1,
+                3 => k as f64 * 1e15,
+                4 => k as f64 / 3.0,
+                _ => k as f64 * 1e-17,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            // Lists run past 20 terms: shorter slices sort stably even
+            // with an unstable sort.
+            #[test]
+            fn terms_merge_like_an_ordered_map(
+                raw in proptest::collection::vec((0usize..6, 0u32..6, -40i32..41), 0..64)
+            ) {
+                let terms: Vec<(VarId, f64)> =
+                    raw.iter().map(|&(j, kind, k)| (VarId(j), coefficient(kind, k))).collect();
+                let mut p = LpProblem::new();
+                for _ in 0..6 {
+                    p.add_unit_var(1.0);
+                }
+                p.add_constraint(&terms, Relation::Le, 1.0);
+                // The builder this replaced: one map entry per variable,
+                // each sum started at 0.0 and taken in input order.
+                let mut want = std::collections::BTreeMap::new();
+                for &(v, a) in &terms {
+                    *want.entry(v.index()).or_insert(0.0) += a;
+                }
+                let bits = |t: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                    t.iter().map(|&(j, a)| (j, a.to_bits())).collect()
+                };
+                let want: Vec<(usize, f64)> = want.into_iter().collect();
+                prop_assert_eq!(bits(&p.constraints[0].terms), bits(&want));
+            }
+        }
     }
 
     #[test]

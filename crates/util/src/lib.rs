@@ -1,12 +1,9 @@
 //! Shared concurrency utilities for the MRLC workspace.
 //!
-//! The experiment sweeps and the LP separation oracle both fan
-//! embarrassingly parallel work across cores while requiring **bitwise
-//! deterministic** output: results are collected by index, so parallel and
-//! serial executions are indistinguishable to callers. [`parallel_map`] is
-//! the plain form; [`parallel_map_with`] additionally gives each worker
-//! thread a reusable scratch value so hot loops (e.g. per-seed min-cuts)
-//! can avoid per-call allocation.
+//! The experiment sweeps fan embarrassingly parallel work across cores
+//! while requiring **bitwise deterministic** output: [`parallel_map`]
+//! collects results by index, so parallel and serial executions are
+//! indistinguishable to callers.
 
 use parking_lot::Mutex;
 
@@ -21,44 +18,24 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    parallel_map_with(count, || (), move |(), i| f(i))
-}
-
-/// Like [`parallel_map`], but each worker thread calls `init` once and
-/// passes the resulting scratch value to every `f` invocation it runs.
-///
-/// The scratch lets workers reuse allocations (buffers, arenas, solver
-/// state) across tasks. Determinism contract: `f(scratch, i)` must return
-/// the same value regardless of which thread runs it or what the scratch
-/// contains — scratch is an allocation cache, not carried state.
-pub fn parallel_map_with<S, T, I, F>(count: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
     if count == 0 {
         return Vec::new();
     }
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(count);
     if threads <= 1 {
-        let mut scratch = init();
-        return (0..count).map(|i| f(&mut scratch, i)).collect();
+        return (0..count).map(f).collect();
     }
     let next = std::sync::atomic::AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(count));
     crossbeam::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| {
-                let mut scratch = init();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    let value = f(&mut scratch, i);
-                    results.lock().push((i, value));
+            scope.spawn(|_| loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if i >= count {
+                    break;
                 }
+                let value = f(i);
+                results.lock().push((i, value));
             });
         }
     })
@@ -92,24 +69,6 @@ mod tests {
         let serial: Vec<u64> = (0..37).map(|i| (i as u64).wrapping_mul(0x9E3779B9)).collect();
         let par = parallel_map(37, |i| (i as u64).wrapping_mul(0x9E3779B9));
         assert_eq!(serial, par);
-    }
-
-    #[test]
-    fn scratch_is_reused_within_a_thread() {
-        // The scratch buffer must arrive initialized and mutable; results
-        // must not depend on reuse order.
-        let out = parallel_map_with(
-            64,
-            || Vec::<usize>::with_capacity(8),
-            |buf, i| {
-                buf.clear();
-                buf.extend(0..i % 5);
-                buf.len() + i
-            },
-        );
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i % 5 + i);
-        }
     }
 
     #[test]

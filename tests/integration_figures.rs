@@ -39,6 +39,22 @@ fn all_figures_render_fast() {
 }
 
 #[test]
+fn paper_figures_match_their_pins() {
+    for name in pins::PINNED {
+        let path = pins::pin_path(name);
+        let pinned = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        let text = pins::render(name, true).expect("a pinned figure");
+        assert!(
+            text == pinned,
+            "{name} --fast no longer matches {}; if the change is meant, run \
+             `mrlc-experiments pin-figures` and review the diff.\n--- pinned\n{pinned}\n--- now\n{text}",
+            path.display()
+        );
+    }
+}
+
+#[test]
 fn headline_result_ira_beats_aaml_reliability_by_a_wide_margin() {
     // The abstract's claim: IRA outperforms AAML in reliability (24% on the
     // DFL trace). Check the reproduction preserves a double-digit gap.

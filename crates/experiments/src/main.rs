@@ -227,21 +227,8 @@ fn main() {
         "fig4" => print!("{}", fig4::render(&fig4::run())),
         "fig6" => print!("{}", fig6::render(&fig6::run(2015))),
         "fig5" => print!("{}", fig5::render(&fig5::run())),
-        "fig7" | "fig8" | "fig11" | "fig12" | "fig13" => {
+        "fig7" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "fig13" | "pareto" => {
             print!("{}", pins::render(name, fast).expect("a pinned figure"));
-        }
-        "fig9" => {
-            let cfg = if fast { fig9::fast_config() } else { fig9::paper_config() };
-            print!("{}", fig9::render(&fig9::run(&cfg)));
-        }
-        "fig10" => {
-            let cfg = if fast { fig10::Config::fast() } else { fig10::Config::default() };
-            print!("{}", fig10::render(&fig10::run(&cfg)));
-        }
-        "pareto" => {
-            let cfg = if fast { ext_pareto::Config::fast() } else { ext_pareto::Config::default() };
-            let (all, dominant) = ext_pareto::run(&cfg);
-            print!("{}", ext_pareto::render(&all, &dominant));
         }
         "optgap" => {
             let cfg = if fast { ext_optgap::Config::fast() } else { ext_optgap::Config::default() };

@@ -39,13 +39,15 @@ pub enum FaultKind {
     /// exercises the non-finite sentinels and the cold rebuild.
     CorruptPivot = 0,
     /// Perturbs the basic values right after a warm solve's entry has
-    /// recomputed them — exercises the mirror check and cold fallback.
+    /// recomputed them — exercises the feasibility check against the
+    /// model and the cold fallback.
     PerturbRhs = 1,
     /// Forces the separation oracle to act as if its deadline expired —
     /// exercises interruption, checkpointing and warm resume.
     OracleTimeout = 2,
-    /// Poisons the newest LP row with a non-finite rhs (mirror included) —
-    /// exercises unrecoverable-numerics degradation to the approximate tier.
+    /// Poisons the newest LP row with a non-finite rhs, in the engine and in
+    /// the model every cold build reads — exercises unrecoverable-numerics
+    /// degradation to the approximate tier.
     PoisonCut = 3,
 }
 

@@ -11,9 +11,11 @@
 //!
 //! Mechanics — a bounded-variable **revised** simplex:
 //!
-//! * The constraint matrix `A` is stored twice, by rows and by columns.
-//!   Every row has a *home* column — its slack, or its artificial when it
-//!   has none — that appears in no other row. Ordering rows by whether
+//! * The constraint matrix `A` is stored once by rows — the caller's
+//!   [`LpProblem`], read times each row's sign and followed by the row's
+//!   slack and artificial entries — and once by columns. Every row has a
+//!   *home* column — its slack, or its artificial when it has none — that
+//!   appears in no other row. Ordering rows by whether
 //!   their home is basic and basic columns by whether they are a basic
 //!   home makes the basis block triangular, `B = [[K, 0], [L, D]]` with
 //!   `D` diagonal, so
@@ -40,9 +42,9 @@
 //! * The kernel rows are rebuilt from the basis heading every
 //!   `REFACTOR_EVERY` basis changes, and whenever the residual of `B·x_B`
 //!   against `b − N·x_N` at a solve's entry says they have drifted.
-//! * Every solve cross-checks the result against a mirror
-//!   [`LpProblem`]; the mirror also lets callers rebuild cold if the warm
-//!   path ever hits its iteration cap.
+//! * Every solve checks its result for feasibility against that
+//!   [`LpProblem`], which is also what a cold rebuild reads when the warm
+//!   path fails the check or hits its iteration cap.
 //!
 //! The pivot rules compare values that are often exactly equal (many
 //! MRLC edge costs are exactly 0). Recomputing a value along a different
@@ -114,24 +116,6 @@ impl SpRow {
         SpRow { cols: vec![i as u32], vals: vec![v] }
     }
 
-    fn from_terms(terms: &[(usize, f64)]) -> SpRow {
-        let mut pairs: Vec<(usize, f64)> = terms.to_vec();
-        pairs.sort_unstable_by_key(|&(c, _)| c);
-        let mut row = SpRow::default();
-        for (c, v) in pairs {
-            if let Some(last) = row.cols.last() {
-                if *last as usize == c {
-                    *row.vals.last_mut().expect("`cols` and `vals` grow together") += v;
-                    continue;
-                }
-            }
-            row.cols.push(c as u32);
-            row.vals.push(v);
-        }
-        row.prune();
-        row
-    }
-
     #[cfg(test)]
     fn get(&self, col: usize) -> f64 {
         match self.cols.binary_search(&(col as u32)) {
@@ -166,19 +150,6 @@ impl SpRow {
             s += v * dense[k as usize];
         }
         s
-    }
-
-    fn prune(&mut self) {
-        let mut w = 0;
-        for r in 0..self.cols.len() {
-            if self.vals[r].abs() > DROP_TOL {
-                self.cols[w] = self.cols[r];
-                self.vals[w] = self.vals[r];
-                w += 1;
-            }
-        }
-        self.cols.truncate(w);
-        self.vals.truncate(w);
     }
 
     /// `self += k * other`, merging into the provided scratch buffers
@@ -251,11 +222,10 @@ enum ColKind {
 /// between them. See the module docs for the warm-start contract.
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalLp {
-    /// Mirror of the *current* constraint set, used for verification and
-    /// cold fallbacks.
-    mirror: LpProblem,
-    /// Slack column of each RowId (None for `=` rows).
-    row_slack: Vec<Option<usize>>,
+    /// The *current* problem as the caller wrote it: the structural costs
+    /// and bounds, and the only row-wise copy of `A`'s structural part.
+    /// Every solve is verified against it and every cold build reads it.
+    model: LpProblem,
 
     // ---- engine state (empty until the first solve) ----
     solved_once: bool,
@@ -265,18 +235,17 @@ pub struct IncrementalLp {
     /// Shifted bounds: every column has lower 0; structural columns are
     /// shifted by their declared lower bound.
     upper: Vec<f64>,
-    cost: Vec<f64>,
     at_upper: Vec<bool>,
     /// Basis position of each column, [`NONBASIC`] when it is not basic.
     pos: Vec<usize>,
-    /// `A` by rows, one per RowId, over every column (sign-normalized by
-    /// the cold build so its starting basis is the identity).
-    arows: Vec<SpRow>,
-    /// `A` by columns, over row indices.
+    /// `A` by columns, over row indices, sign-normalized like the rows.
     acols: Vec<SpRow>,
     /// Shifted, sign-normalized right-hand side per row.
     b: Vec<f64>,
-    /// The sign the cold build multiplied each row by (+1 when appended).
+    /// The sign the cold build multiplied each row by (+1 when appended),
+    /// so the starting basis is the identity. Row `k` of the engine's `A`
+    /// is the model's row `k` times `sign[k]`, then `home[k]`, then
+    /// `artificial[k]` at +1.
     sign: Vec<f64>,
     /// Rows found redundant after phase 1 and dropped with their
     /// artificial; `B⁻¹` has no entry in their column.
@@ -284,6 +253,9 @@ pub struct IncrementalLp {
     /// Home column of each row — its slack, or its artificial when it has
     /// none — and that column's coefficient.
     home: Vec<(usize, f64)>,
+    /// The artificial (coefficient +1) of a `≤` or `≥` row whose slack
+    /// could not start basic; that slack is still the row's home.
+    artificial: Vec<Option<usize>>,
     /// The row a column is the home of ([`NONBASIC`] for the others).
     home_of: Vec<usize>,
     /// Row `i` of `B⁻¹`, over row indices, for a position holding a kernel
@@ -329,7 +301,7 @@ impl IncrementalLp {
     /// Panics if called after the first solve.
     pub fn add_var(&mut self, cost: f64, lower: f64, upper: f64) -> VarId {
         assert!(!self.solved_once, "variables must be added before the first solve");
-        self.mirror.add_var(cost, lower, upper)
+        self.model.add_var(cost, lower, upper)
     }
 
     /// Adds a `[0, 1]` variable (before the first solve).
@@ -344,14 +316,13 @@ impl IncrementalLp {
     /// via [`IncrementalLp::append_le_row`].
     pub fn add_row(&mut self, terms: &[(VarId, f64)], rel: Relation, rhs: f64) -> RowId {
         assert!(!self.solved_once, "use append_le_row after the first solve");
-        self.mirror.add_constraint(terms, rel, rhs);
-        self.row_slack.push(None); // assigned when the basis is built
-        RowId(self.row_slack.len() - 1)
+        self.model.add_constraint(terms, rel, rhs);
+        RowId(self.model.num_constraints() - 1)
     }
 
     /// Number of structural variables.
     pub fn num_vars(&self) -> usize {
-        self.mirror.num_vars()
+        self.model.num_vars()
     }
 
     /// Simplex pivots performed across all solves.
@@ -364,18 +335,19 @@ impl IncrementalLp {
         self.warm_solves
     }
 
-    /// Solves redone cold after a failed attempt — the mirror check or a
-    /// non-finite sentinel failed, or the warm path hit its iteration cap
-    /// or a singular basis. A nonzero rate is a numerical health signal,
-    /// not an error (results stay correct either way).
+    /// Solves redone cold after a failed attempt — the feasibility check
+    /// against the model or a non-finite sentinel failed, or the warm path
+    /// hit its iteration cap or a singular basis. A nonzero rate is a
+    /// numerical health signal, not an error (results stay correct either
+    /// way).
     pub fn cold_fallbacks(&self) -> usize {
         self.cold_fallbacks
     }
 
-    /// A cold copy of the current constraint set (for fallbacks and
-    /// verification).
+    /// A copy of the current problem as the caller wrote it, for the dense
+    /// test reference.
     pub fn to_problem(&self) -> LpProblem {
-        self.mirror.clone()
+        self.model.clone()
     }
 
     /// Installs the budget/cancellation context polled between pivots.
@@ -399,25 +371,15 @@ impl IncrementalLp {
     /// Appends `Σ aᵢxᵢ ≤ rhs` without discarding the basis. Before the
     /// first solve this is equivalent to [`IncrementalLp::add_row`].
     pub fn append_le_row(&mut self, terms: &[(VarId, f64)], rhs: f64) -> RowId {
-        self.mirror.add_constraint(terms, Relation::Le, rhs);
-        let id = RowId(self.row_slack.len());
-        self.row_slack.push(None);
+        self.model.add_constraint(terms, Relation::Le, rhs);
+        let id = RowId(self.model.num_constraints() - 1);
         if !self.solved_once {
             return id;
         }
 
-        // Shift: rhs' = rhs − Σ aᵢ·lᵢ over structural lower bounds.
-        let c = self.mirror.constraints.last().expect("the row was just added");
-        let mut b = rhs;
-        let mut entries: Vec<(usize, f64)> = Vec::with_capacity(c.terms.len() + 1);
-        for &(j, a) in &c.terms {
-            b -= a * self.mirror.lower[j];
-            entries.push((j, a));
-        }
-        let slack = self.push_col(ColKind::Slack, f64::INFINITY, 0.0);
-        self.row_slack[id.0] = Some(slack);
-        entries.push((slack, 1.0));
-        self.push_row(&entries, b, 1.0);
+        let b = self.shifted_rhs(id.0);
+        let slack = self.push_col(ColKind::Slack, f64::INFINITY);
+        self.push_row(b, 1.0, (slack, 1.0), None);
 
         // The slack is the new row's home and starts basic, so its row of
         // B⁻¹ is implied and the stored rows do not change; its value is
@@ -443,15 +405,15 @@ impl IncrementalLp {
         let j = v.index();
         assert!(!new_upper.is_nan());
         assert!(
-            new_upper >= self.mirror.lower[j] - TOL,
+            new_upper >= self.model.lower[j] - TOL,
             "upper bound {new_upper} below lower {}",
-            self.mirror.lower[j]
+            self.model.lower[j]
         );
-        self.mirror.upper[j] = new_upper;
+        self.model.upper[j] = new_upper;
         if !self.solved_once {
             return;
         }
-        let shifted = new_upper - self.mirror.lower[j];
+        let shifted = new_upper - self.model.lower[j];
         self.upper[j] = shifted;
         // A nonbasic column at its upper bound moves with it (the next
         // solve recomputes the basic values); one that reaches its lower
@@ -468,7 +430,7 @@ impl IncrementalLp {
     /// # Panics
     /// Panics if `row` is not a `≤` row or `new_rhs` shrinks it.
     pub fn relax_le_rhs(&mut self, row: RowId, new_rhs: f64) {
-        let c = &mut self.mirror.constraints[row.0];
+        let c = &mut self.model.constraints[row.0];
         assert!(c.rel == Relation::Le, "only ≤ rows can be relaxed");
         let delta = new_rhs - c.rhs;
         assert!(delta >= -TOL, "relax_le_rhs must not tighten (delta {delta})");
@@ -485,12 +447,12 @@ impl IncrementalLp {
 
     /// Solves the current problem: a cold two-phase build on the first
     /// call, a dual-simplex repair plus primal cleanup afterwards. On a
-    /// warm solve whose result fails verification against the mirror the
+    /// warm solve whose result fails verification against the model the
     /// basis is rebuilt cold transparently.
     pub fn solve(&mut self) -> Result<LpSolution, LpError> {
         self.solves_total += 1;
-        for j in 0..self.mirror.num_vars() {
-            if self.mirror.lower[j] > self.mirror.upper[j] + TOL {
+        for j in 0..self.model.num_vars() {
+            if self.model.lower[j] > self.model.upper[j] + TOL {
                 return Err(LpError::InvalidBounds);
             }
         }
@@ -504,10 +466,10 @@ impl IncrementalLp {
     fn solve_inner(&mut self) -> Result<LpSolution, LpError> {
         if self.ctx.poll_fault(FaultKind::PoisonCut) {
             // Chaos injection: a poisoned cut — the newest row goes
-            // non-finite in the engine *and* the mirror, so no
-            // refactorization can repair it. The sentinels must turn
-            // this into `LpError::Numerical`, never a panic.
-            if let Some(c) = self.mirror.constraints.last_mut() {
+            // non-finite in the engine's `b` *and* in the model every cold
+            // build reads, so no rebuild can repair it. The sentinels must
+            // turn this into `LpError::Numerical`, never a panic.
+            if let Some(c) = self.model.constraints.last_mut() {
                 c.rhs = f64::NAN;
             }
             if let Some(v) = self.b.last_mut() {
@@ -523,7 +485,7 @@ impl IncrementalLp {
             Ok(sol) => {
                 if sol.status == LpStatus::Optimal && !self.solution_is_finite(&sol) {
                     // NaN/Inf reached the basic values: recover with a
-                    // mirror-verified cold rebuild.
+                    // verified cold rebuild.
                     self.record_sentinel("nonfinite_warm");
                     self.abandon_warm("nonfinite");
                     return self.verified_cold_solve();
@@ -533,13 +495,13 @@ impl IncrementalLp {
                 }
                 let verified = {
                     let _s = wsn_obs::span("lp-verify");
-                    self.mirror.is_feasible(&sol.x, 1e-6)
+                    self.model.is_feasible(&sol.x, 1e-6)
                 };
                 if verified {
                     return Ok(sol);
                 }
                 // Numerical drift: rebuild cold (rare; keeps warm == cold).
-                self.abandon_warm("mirror_infeasible");
+                self.abandon_warm("residual_warm");
                 self.verified_cold_solve()
             }
             Err(e @ (LpError::IterationLimit | LpError::Numerical)) => {
@@ -556,7 +518,7 @@ impl IncrementalLp {
     }
 
     /// Cold solve plus post-solve sentinels. An optimal answer that is
-    /// non-finite or violates the mirror is rebuilt cold once more (a
+    /// non-finite or violates the model is rebuilt cold once more (a
     /// one-off corruption does not survive a rebuild); when the rebuild
     /// fails the same way the data itself is broken, and the solve
     /// surfaces as [`LpError::Numerical`] — the one LP error the
@@ -570,7 +532,7 @@ impl IncrementalLp {
             let _s = wsn_obs::span("lp-verify");
             let trip = if !self.solution_is_finite(&sol) {
                 "nonfinite_cold"
-            } else if !self.mirror.is_feasible(&sol.x, 1e-5) {
+            } else if !self.model.is_feasible(&sol.x, 1e-5) {
                 "residual_cold"
             } else {
                 return Ok(sol);
@@ -634,7 +596,7 @@ impl IncrementalLp {
         }
     }
 
-    /// Mirrors this solve's effort into the ambient metrics registry, if
+    /// Publishes this solve's effort to the ambient metrics registry, if
     /// one is installed (no-op otherwise — detached solvers stay free).
     /// Beyond the effort counters this publishes the occupancy view: a
     /// pivots-per-solve histogram, the basis size (`lp.tableau_rows`), the
@@ -654,10 +616,9 @@ impl IncrementalLp {
         }
     }
 
-    fn push_col(&mut self, kind: ColKind, upper: f64, cost: f64) -> usize {
+    fn push_col(&mut self, kind: ColKind, upper: f64) -> usize {
         self.kind.push(kind);
         self.upper.push(upper);
-        self.cost.push(cost);
         self.at_upper.push(false);
         self.pos.push(NONBASIC);
         self.drow.push(0.0);
@@ -669,26 +630,37 @@ impl IncrementalLp {
         self.kind.len() - 1
     }
 
-    /// Adds row `entries · x = b` (already sign-normalized by `sign`) to
-    /// both copies of `A`; returns its index.
-    fn push_row(&mut self, entries: &[(usize, f64)], b: f64, sign: f64) -> usize {
-        let k = self.arows.len();
-        let row = SpRow::from_terms(entries);
-        for (j, a) in row.iter() {
-            self.acols[j].push(k, a);
+    /// The right-hand side of the model's row `k`, shifted by the
+    /// structural lower bounds: `rhs − Σ aᵢ·lᵢ`.
+    fn shifted_rhs(&self, k: usize) -> f64 {
+        let c = &self.model.constraints[k];
+        let mut b = c.rhs;
+        for &(j, a) in &c.terms {
+            b -= a * self.model.lower[j];
         }
-        let home = row
-            .iter()
-            .find(|&(c, _)| self.kind[c] != ColKind::Structural)
-            .expect("every row has a slack or an artificial");
-        self.arows.push(row);
+        b
+    }
+
+    /// Seats the model's next row `k` in the engine, multiplied by `sign`
+    /// and followed by its `home` column and, when the slack is the home
+    /// but cannot start basic, its `artificial`: fills `acols` and the
+    /// row's state.
+    fn push_row(&mut self, b: f64, sign: f64, home: (usize, f64), artificial: Option<usize>) {
+        let k = self.b.len();
+        for &(j, a) in &self.model.constraints[k].terms {
+            self.acols[j].push(k, sign * a);
+        }
+        self.acols[home.0].push(k, home.1);
+        if let Some(a) = artificial {
+            self.acols[a].push(k, 1.0);
+        }
         self.home.push(home);
         self.home_of[home.0] = k;
+        self.artificial.push(artificial);
         self.b.push(b);
         self.sign.push(sign);
         self.dropped.push(false);
         self.wrow.push(0.0);
-        k
     }
 
     /// True when position `i` holds a kernel column (one with a stored row
@@ -784,17 +756,22 @@ impl IncrementalLp {
         if !self.is_kernel(r) {
             self.binv[r] = self.implied_row(self.home_of[self.basis[r]]);
         }
-        let nvars = self.prow.len();
         self.prow_aux.clear();
         for (k, v) in self.binv[r].iter() {
-            for (j, a) in self.arows[k].iter() {
-                if j < nvars {
-                    self.prow[j] += v * a;
-                } else {
-                    self.prow_aux.push((j, v * a));
-                }
+            let sign = self.sign[k];
+            for &(j, a) in &self.model.constraints[k].terms {
+                self.prow[j] += v * (sign * a);
+            }
+            for (c, a) in self.aux_entries(k) {
+                self.prow_aux.push((c, v * a));
             }
         }
+    }
+
+    /// Row `k`'s slack and artificial entries, in column order: its home,
+    /// then the artificial of a row whose slack is the home.
+    fn aux_entries(&self, k: usize) -> impl Iterator<Item = (usize, f64)> {
+        std::iter::once(self.home[k]).chain(self.artificial[k].map(|a| (a, 1.0)))
     }
 
     fn clear_row(&mut self) {
@@ -853,12 +830,10 @@ impl IncrementalLp {
     /// Recomputes reduced costs `d = c − (c_Bᵀ B⁻¹)A` — phase-1 costs (1 on
     /// artificials) or the real ones.
     fn refresh_drow(&mut self, phase1: bool) {
-        let cost_of = |kind: ColKind, c: f64| {
-            if phase1 {
-                f64::from(u8::from(kind == ColKind::Artificial))
-            } else {
-                c
-            }
+        let cost_of = |j: usize| match self.kind[j] {
+            ColKind::Structural if !phase1 => self.model.cost[j],
+            ColKind::Artificial if phase1 => 1.0,
+            _ => 0.0,
         };
         // A basic home costs nothing in phase 2; in phase 1 an equality
         // row's artificial does, and its row of B⁻¹ is implied.
@@ -866,7 +841,7 @@ impl IncrementalLp {
         let mut acc: Vec<f64> = Vec::new();
         for i in 0..self.basis.len() {
             let c = self.basis[i];
-            let cb = cost_of(self.kind[c], self.cost[c]);
+            let cb = cost_of(c);
             if cb == 0.0 {
                 continue;
             }
@@ -883,12 +858,16 @@ impl IncrementalLp {
             }
         }
         for (j, d) in self.drow.iter_mut().enumerate() {
-            *d = cost_of(self.kind[j], self.cost[j]);
+            *d = cost_of(j);
         }
         for (k, p) in pi.iter_mut().enumerate() {
             if *p != 0.0 {
-                for (j, a) in self.arows[k].iter() {
-                    self.drow[j] -= *p * a;
+                let sign = self.sign[k];
+                for &(j, a) in &self.model.constraints[k].terms {
+                    self.drow[j] -= *p * (sign * a);
+                }
+                for (c, a) in self.aux_entries(k) {
+                    self.drow[c] -= *p * a;
                 }
                 *p = 0.0;
             }
@@ -913,8 +892,10 @@ impl IncrementalLp {
     /// scratch over rows that it leaves all-zero.
     fn implied_row_with(&self, s: usize, acc: &mut [f64]) -> SpRow {
         let (h, d) = self.home[s];
-        let mut basic: Vec<(usize, f64)> = self.arows[s]
-            .iter()
+        let sign = self.sign[s];
+        let structural = self.model.constraints[s].terms.iter().map(|&(c, a)| (c, sign * a));
+        let mut basic: Vec<(usize, f64)> = structural
+            .chain(self.aux_entries(s))
             .filter(|&(c, _)| c != h && self.pos[c] != NONBASIC)
             .map(|(c, a)| (self.pos[c], a))
             .collect();
@@ -948,7 +929,7 @@ impl IncrementalLp {
     /// largest. `false` when the heading is numerically singular.
     fn refactor(&mut self) -> bool {
         let kernel: Vec<usize> =
-            (0..self.arows.len()).filter(|&k| !self.dropped[k] && !self.home_is_basic(k)).collect();
+            (0..self.b.len()).filter(|&k| !self.dropped[k] && !self.home_is_basic(k)).collect();
         let kernel_cols: Vec<usize> =
             (0..self.basis.len()).filter(|&i| self.is_kernel(i)).collect();
         if kernel_cols.len() != kernel.len() {
@@ -995,23 +976,22 @@ impl IncrementalLp {
     // ---- cold path ----------------------------------------------------
 
     fn cold_solve(&mut self) -> Result<LpSolution, LpError> {
-        let nvars = self.mirror.num_vars();
+        let nvars = self.model.num_vars();
         let build_span = wsn_obs::span("lp-cold-build");
         self.solved_once = true;
         self.kind.clear();
         self.upper.clear();
-        self.cost.clear();
         self.at_upper.clear();
         self.pos.clear();
         self.drow.clear();
         self.acols.clear();
         self.prow.clear();
-        self.arows.clear();
         self.b.clear();
         self.sign.clear();
         self.dropped.clear();
         self.home.clear();
         self.home_of.clear();
+        self.artificial.clear();
         self.wrow.clear();
         self.binv.clear();
         self.xb.clear();
@@ -1021,11 +1001,7 @@ impl IncrementalLp {
         self.degenerate_run = 0;
 
         for j in 0..nvars {
-            self.push_col(
-                ColKind::Structural,
-                self.mirror.upper[j] - self.mirror.lower[j],
-                self.mirror.cost[j],
-            );
+            self.push_col(ColKind::Structural, self.model.upper[j] - self.model.lower[j]);
         }
 
         // Build rows: slack for ≤/≥, artificial wherever the slack cannot
@@ -1034,47 +1010,31 @@ impl IncrementalLp {
         // implied at basic homes, a stored unit row at an artificial
         // whose row's home is its (nonbasic) slack.
         let mut artificials: Vec<usize> = Vec::new();
-        let constraints = std::mem::take(&mut self.mirror.constraints);
-        for (ri, c) in constraints.iter().enumerate() {
-            let mut b = c.rhs;
-            let mut terms: Vec<(usize, f64)> = Vec::with_capacity(c.terms.len() + 2);
-            for &(j, a) in &c.terms {
-                b -= a * self.mirror.lower[j];
-                terms.push((j, a));
-            }
-            let slack_sign = match c.rel {
-                Relation::Le => 1.0,
-                Relation::Ge => -1.0,
-                Relation::Eq => 0.0,
-            };
-            let mut slack = None;
-            if slack_sign != 0.0 {
-                let s = self.push_col(ColKind::Slack, f64::INFINITY, 0.0);
-                terms.push((s, slack_sign));
-                slack = Some(s);
-            }
-            self.row_slack[ri] = slack;
+        for k in 0..self.model.num_constraints() {
+            let mut b = self.shifted_rhs(k);
             // Sign-normalize so the starting basic value is ≥ 0.
             let sign = if b < 0.0 { -1.0 } else { 1.0 };
             if sign < 0.0 {
                 b = -b;
-                for t in &mut terms {
-                    t.1 = -t.1;
-                }
             }
-            // The slack starts basic when its (normalized) coefficient is
-            // +1; otherwise an artificial does.
-            let basic = match slack {
-                Some(s) if sign > 0.0 && c.rel == Relation::Le => s,
-                Some(s) if sign < 0.0 && c.rel == Relation::Ge => s,
-                _ => {
-                    let a = self.push_col(ColKind::Artificial, f64::INFINITY, 0.0);
-                    terms.push((a, 1.0));
-                    artificials.push(a);
-                    a
-                }
+            let slack = match self.model.constraints[k].rel {
+                Relation::Le => Some((self.push_col(ColKind::Slack, f64::INFINITY), sign)),
+                Relation::Ge => Some((self.push_col(ColKind::Slack, f64::INFINITY), -sign)),
+                Relation::Eq => None,
             };
-            let k = self.push_row(&terms, b, sign);
+            // The slack is the home and starts basic when its (normalized)
+            // coefficient is +1; otherwise an artificial starts basic, and
+            // is the home of a row without a slack.
+            let (home, extra) = match slack {
+                Some(home) if home.1 > 0.0 => (home, None),
+                Some(home) => (home, Some(self.push_col(ColKind::Artificial, f64::INFINITY))),
+                None => ((self.push_col(ColKind::Artificial, f64::INFINITY), 1.0), None),
+            };
+            self.push_row(b, sign, home, extra);
+            let basic = extra.unwrap_or(home.0);
+            if self.kind[basic] == ColKind::Artificial {
+                artificials.push(basic);
+            }
             self.pos[basic] = self.basis.len();
             self.binv.push(if self.home_of[basic] == NONBASIC {
                 SpRow::unit(k, 1.0)
@@ -1084,7 +1044,6 @@ impl IncrementalLp {
             self.xb.push(b);
             self.basis.push(basic);
         }
-        self.mirror.constraints = constraints;
 
         drop(build_span);
         let max_iter = self.max_iter();
@@ -1201,8 +1160,8 @@ impl IncrementalLp {
             self.refresh_drow(false);
             if self.ctx.poll_fault(FaultKind::PerturbRhs) {
                 // Chaos injection: desynchronize the refreshed basic
-                // values from the mirror; the mirror check must notice
-                // and fall back to a cold rebuild.
+                // values from the model; the feasibility check against
+                // the model must notice and fall back to a cold rebuild.
                 for v in &mut self.xb {
                     *v = *v * 1.5 + 7.0;
                 }
@@ -1214,7 +1173,7 @@ impl IncrementalLp {
         if !repaired? {
             return Ok(LpSolution {
                 status: LpStatus::Infeasible,
-                x: vec![0.0; self.mirror.num_vars()],
+                x: vec![0.0; self.model.num_vars()],
                 objective: f64::NAN,
                 iterations: self.pivots_total - start_pivots,
             });
@@ -1228,7 +1187,7 @@ impl IncrementalLp {
         if !done {
             return Ok(LpSolution {
                 status: LpStatus::Unbounded,
-                x: vec![0.0; self.mirror.num_vars()],
+                x: vec![0.0; self.model.num_vars()],
                 objective: f64::NEG_INFINITY,
                 iterations: self.pivots_total - start_pivots,
             });
@@ -1538,14 +1497,14 @@ impl IncrementalLp {
 
     /// Extracts the structural solution (unshifting lower bounds).
     fn extract(&self, iterations: usize) -> LpSolution {
-        let nvars = self.mirror.num_vars();
+        let nvars = self.model.num_vars();
         let mut x = vec![0.0; nvars];
         for (j, xj) in x.iter_mut().enumerate() {
-            let v = self.col_value(j) + self.mirror.lower[j];
-            let hi = self.mirror.upper[j];
-            *xj = v.clamp(self.mirror.lower[j], if hi.is_finite() { hi } else { f64::INFINITY });
+            let v = self.col_value(j) + self.model.lower[j];
+            let hi = self.model.upper[j];
+            *xj = v.clamp(self.model.lower[j], if hi.is_finite() { hi } else { f64::INFINITY });
         }
-        let objective = self.mirror.objective_at(&x);
+        let objective = self.model.objective_at(&x);
         LpSolution { status: LpStatus::Optimal, x, objective, iterations }
     }
 
@@ -1772,7 +1731,7 @@ mod tests {
             }
             if step >= 2 {
                 for &row in &batches[step - 2] {
-                    let vacuous: f64 = p.mirror.constraints[row.0].terms.iter().map(|t| t.1).sum();
+                    let vacuous: f64 = p.model.constraints[row.0].terms.iter().map(|t| t.1).sum();
                     p.relax_le_rhs(row, vacuous);
                 }
                 assert_matches_cold(&mut p);
@@ -1821,7 +1780,7 @@ mod tests {
         assert!(p.refactor(), "basis must invert");
         let after = full(&mut p);
         for (i, (old, new)) in before.iter().zip(&after).enumerate() {
-            for k in 0..p.arows.len() {
+            for k in 0..p.model.num_constraints() {
                 assert!((old.get(k) - new.get(k)).abs() < 1e-9, "B⁻¹[{i}][{k}]");
             }
             for (l, &c) in p.basis.iter().enumerate() {
@@ -1886,6 +1845,32 @@ mod tests {
         p.set_ctx(ctx);
         assert_matches_cold(&mut p);
         assert_eq!(p.cold_fallbacks(), 1);
+    }
+
+    #[test]
+    fn poisoned_cut_fails_this_and_every_later_solve() {
+        // The poison sits in the model row every cold build reads, not
+        // only in the engine's `b`: the warm solve trips the non-finite
+        // sentinel, both cold rebuilds trip it again, and so does the
+        // next solve, with no fault armed.
+        let obs = wsn_obs::Obs::detached();
+        let _ambient = wsn_obs::install(obs.clone());
+        let mut rng = StdRng::seed_from_u64(24);
+        let mut p = IncrementalLp::new();
+        let vars: Vec<VarId> =
+            (0..16).map(|_| p.add_unit_var(-rng.random_range(0.1..1.0))).collect();
+        let all: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
+        p.add_row(&all, Relation::Eq, 6.0);
+        assert_matches_cold(&mut p);
+        let cut = incumbent_cut(&mut p, &mut rng, &vars);
+        p.append_le_rows(&[cut]);
+        let ctx = crate::SolveBudget::unlimited().start();
+        ctx.arm_fault(FaultKind::PoisonCut, 1);
+        p.set_ctx(ctx);
+        assert_eq!(p.solve().err(), Some(LpError::Numerical));
+        assert_eq!(p.cold_fallbacks(), 2);
+        assert_eq!(obs.registry().counter("lp.sentinel.trips").get(), 3);
+        assert_eq!(p.solve().err(), Some(LpError::Numerical));
     }
 
     mod proptests {
@@ -1971,19 +1956,63 @@ mod tests {
                             inc.relax_le_rhs(row, rhs + *d as f64);
                         }
                     }
-                    let warm = inc.solve().unwrap();
-                    let cold = inc.to_problem().solve().unwrap();
-                    prop_assert_eq!(warm.status, cold.status);
-                    if warm.status == LpStatus::Optimal {
-                        prop_assert!(
-                            (warm.objective - cold.objective).abs() < 1e-6,
-                            "warm {} vs cold {}", warm.objective, cold.objective);
-                        prop_assert!(
-                            inc.to_problem().is_feasible(&warm.x, 1e-6),
-                            "warm point violates the accumulated constraints");
-                    }
+                    matches_dense(&mut inc)?;
                 }
             }
+
+            #[test]
+            fn flipped_and_shifted_rows_match_the_dense_reference(
+                costs in proptest::collection::vec(-5i32..=5, 4),
+                lowers in proptest::collection::vec(-2i32..=2, 4),
+                base_rows in proptest::collection::vec(
+                    (0usize..3, proptest::collection::vec(-3i32..=3, 4), -6i32..=6), 1..=3),
+                appended in proptest::collection::vec(
+                    (proptest::collection::vec(-3i32..=3, 4), -5i32..=5), 1..=5),
+            ) {
+                // Nonzero lower bounds shift every right-hand side, and a
+                // negative shifted one makes the cold build flip its row's
+                // sign; every row loop must read the model times that sign.
+                let mut inc = IncrementalLp::new();
+                let vars: Vec<VarId> = costs
+                    .iter()
+                    .zip(&lowers)
+                    .map(|(&c, &l)| inc.add_var(c as f64, l as f64, l as f64 + 2.0))
+                    .collect();
+                let terms = |row: &[i32]| -> Vec<(VarId, f64)> {
+                    vars.iter().zip(row).map(|(&v, &a)| (v, a as f64)).collect()
+                };
+                for (rel, row, rhs) in &base_rows {
+                    let rel = [Relation::Le, Relation::Ge, Relation::Eq][*rel];
+                    inc.add_row(&terms(row), rel, *rhs as f64);
+                }
+                matches_dense(&mut inc)?;
+                for (row, rhs) in &appended {
+                    inc.append_le_row(&terms(row), *rhs as f64);
+                    matches_dense(&mut inc)?;
+                }
+            }
+        }
+
+        /// Solves `inc` and checks the answer against the dense simplex on
+        /// the same problem: the same status and, when optimal, the same
+        /// objective and a feasible point.
+        fn matches_dense(inc: &mut IncrementalLp) -> Result<(), TestCaseError> {
+            let warm = inc.solve().unwrap();
+            let cold = inc.to_problem().solve().unwrap();
+            prop_assert_eq!(warm.status, cold.status);
+            if warm.status == LpStatus::Optimal {
+                prop_assert!(
+                    (warm.objective - cold.objective).abs() < 1e-6,
+                    "warm {} vs cold {}",
+                    warm.objective,
+                    cold.objective
+                );
+                prop_assert!(
+                    inc.to_problem().is_feasible(&warm.x, 1e-6),
+                    "warm point violates the accumulated constraints"
+                );
+            }
+            Ok(())
         }
     }
 }

@@ -10,18 +10,20 @@
 //! * **the engine**, [`IncrementalLp`] ([`incremental`]): a warm-started
 //!   bounded-variable revised simplex that keeps its basis and a sparse
 //!   basis inverse across appended `≤` rows, tightened bounds and relaxed
-//!   right-hand sides, repairing with dual-simplex pivots. It stores the
-//!   inverse's rows only for the basic columns that are not a row's basic
-//!   slack (the rest follow from those) and rebuilds them on a fixed
-//!   cadence. It is the only LP the cutting-plane loop of `mrlc-core` runs;
+//!   right-hand sides, repairing with dual-simplex pivots. It pivots on
+//!   the rows of the [`LpProblem`] its caller built, kept as written, plus
+//!   a copy of `A` by columns. It stores the inverse's rows only for the
+//!   basic columns that are not a row's basic slack (the rest follow from
+//!   those) and rebuilds them on a fixed cadence. It is the only LP the
+//!   cutting-plane loop of `mrlc-core` runs;
 //! * **the reference**, a dense **two-phase primal simplex with bounded
 //!   variables** ([`simplex`]) over a model builder ([`LpProblem`]) for
 //!   `min cᵀx` subject to `Ax {≤,=,≥} b` and box bounds `l ≤ x ≤ u`:
 //!   nonbasic variables sit at either bound, the ratio test handles bound
 //!   flips, and Bland's rule kicks in after prolonged degeneracy so the
-//!   algorithm terminates. The engine checks every warm solve for
-//!   feasibility against a mirror [`LpProblem`], and the tests cross-check
-//!   its optima against this solver;
+//!   algorithm terminates. The engine checks every solve for feasibility
+//!   against that [`LpProblem`], and the tests cross-check its optima
+//!   against this solver;
 //! * **the budget**, [`SolveCtx`] ([`budget`]): the cancellation token,
 //!   work caps and seeded fault injector the engine polls between pivots.
 //!   Every [`IncrementalLp`] holds one, unlimited unless its caller

@@ -6,20 +6,20 @@
 //! oracle call differ in a single arc, so the oracle solves the flow they
 //! share once, keeps it ([`FlowNetwork::keep_flow`]) and starts every
 //! query from it.
+//!
+//! The arcs live in flat arrays — head, residual and restore point — added
+//! in pairs, so the reverse of arc `e` is `e ^ 1`, and each node lists its
+//! arcs as `u32` indices. Each phase's BFS stops as soon as it labels the
+//! sink: every augmenting path of the phase ends at the sink's level, so a
+//! node at or past that level is a dead end whether it is labeled or not,
+//! and the phase pushes the same paths in the same order as a full BFS
+//! would. The last BFS of [`FlowNetwork::max_flow`] is the one that fails
+//! to reach the sink, so it labels exactly the nodes the residual network
+//! reaches from the source: the cut queries read the source side from it
+//! instead of searching again, until an arc changes.
 
 /// Floating-point slack for capacity comparisons.
 const EPS: f64 = 1e-12;
-
-#[derive(Clone, Debug)]
-struct FlowEdge {
-    to: usize,
-    cap: f64,
-    /// The restore point [`FlowNetwork::reset`] returns to: the declared
-    /// capacity, or the residual [`FlowNetwork::keep_flow`] last kept.
-    cap0: f64,
-    /// Index of the reverse edge in `edges`.
-    rev: usize,
-}
 
 /// Handle to an edge added with [`FlowNetwork::add_edge`] /
 /// [`FlowNetwork::add_undirected_edge`], usable with
@@ -38,11 +38,22 @@ pub type FlowEdgeId = usize;
 /// (BFS level/queue, DFS cursors, cut marks) are preallocated once.
 #[derive(Clone, Debug)]
 pub struct FlowNetwork {
-    adj: Vec<Vec<usize>>,
-    edges: Vec<FlowEdge>,
+    /// Each node's arcs, in insertion order.
+    adj: Vec<Vec<u32>>,
+    /// Head of each arc; arc `e`'s reverse is `e ^ 1`.
+    to: Vec<u32>,
+    /// Residual capacity of each arc.
+    cap: Vec<f64>,
+    /// The restore point [`FlowNetwork::reset`] returns each arc to: the
+    /// declared capacity, or the residual [`FlowNetwork::keep_flow`] last
+    /// kept.
+    cap0: Vec<f64>,
     level: Vec<i32>,
     iter: Vec<usize>,
     queue: Vec<usize>,
+    /// The source whose residual reach `level` marks (`level ≥ 0`): set by
+    /// [`FlowNetwork::max_flow`], cleared by every change to an arc.
+    reach_of: Option<usize>,
 }
 
 impl FlowNetwork {
@@ -50,10 +61,13 @@ impl FlowNetwork {
     pub fn new(n: usize) -> Self {
         FlowNetwork {
             adj: vec![Vec::new(); n],
-            edges: Vec::new(),
+            to: Vec::new(),
+            cap: Vec::new(),
+            cap0: Vec::new(),
             level: vec![0; n],
             iter: vec![0; n],
             queue: Vec::with_capacity(n),
+            reach_of: None,
         }
     }
 
@@ -66,24 +80,26 @@ impl FlowNetwork {
     /// capacity reverse edge). Returns a handle for [`FlowNetwork::set_cap`].
     pub fn add_edge(&mut self, u: usize, v: usize, cap: f64) -> FlowEdgeId {
         debug_assert!(cap >= 0.0 && (cap.is_finite() || cap == f64::INFINITY));
-        let e1 = self.edges.len();
-        self.edges.push(FlowEdge { to: v, cap, cap0: cap, rev: e1 + 1 });
-        self.edges.push(FlowEdge { to: u, cap: 0.0, cap0: 0.0, rev: e1 });
-        self.adj[u].push(e1);
-        self.adj[v].push(e1 + 1);
-        e1
+        self.add_pair(u, v, cap, 0.0)
     }
 
     /// Adds an undirected edge (capacity in both directions). Returns a
     /// handle for [`FlowNetwork::set_cap`] (forward direction).
     pub fn add_undirected_edge(&mut self, u: usize, v: usize, cap: f64) -> FlowEdgeId {
         debug_assert!(cap >= 0.0);
-        let e1 = self.edges.len();
-        self.edges.push(FlowEdge { to: v, cap, cap0: cap, rev: e1 + 1 });
-        self.edges.push(FlowEdge { to: u, cap, cap0: cap, rev: e1 });
-        self.adj[u].push(e1);
-        self.adj[v].push(e1 + 1);
-        e1
+        self.add_pair(u, v, cap, cap)
+    }
+
+    /// Adds arc `u → v` at `cap` and its reverse at `back`.
+    fn add_pair(&mut self, u: usize, v: usize, cap: f64, back: f64) -> FlowEdgeId {
+        let e = self.to.len();
+        self.to.extend([v as u32, u as u32]);
+        self.cap.extend([cap, back]);
+        self.cap0.extend([cap, back]);
+        self.adj[u].push(e as u32);
+        self.adj[v].push(e as u32 + 1);
+        self.reach_of = None;
+        e
     }
 
     /// Overrides the *current* residual capacity of edge `id` (forward
@@ -96,7 +112,8 @@ impl FlowNetwork {
     /// [`FlowNetwork::keep_flow`] too.
     pub fn set_cap(&mut self, id: FlowEdgeId, cap: f64) {
         debug_assert!(cap >= 0.0 && (cap.is_finite() || cap == f64::INFINITY));
-        self.edges[id].cap = cap;
+        self.cap[id] = cap;
+        self.reach_of = None;
     }
 
     /// Restores every edge to its restore point — the declared capacity,
@@ -105,9 +122,8 @@ impl FlowNetwork {
     /// O(edges), no allocation — the scratch API for solving many flows
     /// on one network.
     pub fn reset(&mut self) {
-        for e in &mut self.edges {
-            e.cap = e.cap0;
-        }
+        self.cap.copy_from_slice(&self.cap0);
+        self.reach_of = None;
     }
 
     /// Makes the current residual the state [`FlowNetwork::reset`]
@@ -116,11 +132,12 @@ impl FlowNetwork {
     /// calling [`FlowNetwork::max_flow`] returns only the extra flow the
     /// raised arc admits; adding the kept value gives the new maximum.
     pub fn keep_flow(&mut self) {
-        for e in &mut self.edges {
-            e.cap0 = e.cap;
-        }
+        self.cap0.copy_from_slice(&self.cap);
     }
 
+    /// Labels BFS levels from `s` over arcs with residual capacity, and
+    /// stops as soon as `t` is labeled (module docs). `false` when `t` is
+    /// out of reach, with every node the residual network reaches labeled.
     fn bfs(&mut self, s: usize, t: usize) -> bool {
         self.level.fill(-1);
         self.queue.clear();
@@ -130,15 +147,19 @@ impl FlowNetwork {
         while head < self.queue.len() {
             let u = self.queue[head];
             head += 1;
-            for &ei in &self.adj[u] {
-                let e = &self.edges[ei];
-                if e.cap > EPS && self.level[e.to] < 0 {
-                    self.level[e.to] = self.level[u] + 1;
-                    self.queue.push(e.to);
+            let next = self.level[u] + 1;
+            for &e in &self.adj[u] {
+                let v = self.to[e as usize] as usize;
+                if self.cap[e as usize] > EPS && self.level[v] < 0 {
+                    self.level[v] = next;
+                    if v == t {
+                        return true;
+                    }
+                    self.queue.push(v);
                 }
             }
         }
-        self.level[t] >= 0
+        false
     }
 
     fn dfs(&mut self, u: usize, t: usize, pushed: f64) -> f64 {
@@ -146,16 +167,13 @@ impl FlowNetwork {
             return pushed;
         }
         while self.iter[u] < self.adj[u].len() {
-            let ei = self.adj[u][self.iter[u]];
-            let (to, cap, rev) = {
-                let e = &self.edges[ei];
-                (e.to, e.cap, e.rev)
-            };
+            let e = self.adj[u][self.iter[u]] as usize;
+            let (to, cap) = (self.to[e] as usize, self.cap[e]);
             if cap > EPS && self.level[to] == self.level[u] + 1 {
                 let d = self.dfs(to, t, pushed.min(cap));
                 if d > EPS {
-                    self.edges[ei].cap -= d;
-                    self.edges[rev].cap += d;
+                    self.cap[e] -= d;
+                    self.cap[e ^ 1] += d;
                     return d;
                 }
             }
@@ -182,6 +200,7 @@ impl FlowNetwork {
                 flow += f;
             }
         }
+        self.reach_of = Some(s);
         flow
     }
 
@@ -189,8 +208,7 @@ impl FlowNetwork {
     /// cut: all nodes reachable from `s` in the residual network.
     pub fn min_cut_source_side(&self, s: usize) -> Vec<bool> {
         let mut side = vec![false; self.n()];
-        let mut queue = Vec::with_capacity(self.n());
-        self.cut_search(s, &mut side, &mut queue);
+        self.cut_side(s, &mut side, &mut Vec::new());
         side
     }
 
@@ -201,11 +219,20 @@ impl FlowNetwork {
         side.clear();
         side.resize(self.n(), false);
         let mut queue = std::mem::take(&mut self.queue);
-        self.cut_search(s, side, &mut queue);
+        self.cut_side(s, side, &mut queue);
         self.queue = queue;
     }
 
-    fn cut_search(&self, s: usize, side: &mut [bool], queue: &mut Vec<usize>) {
+    /// Marks the nodes the residual network reaches from `s`: read from
+    /// the levels of the last [`FlowNetwork::max_flow`] from `s` while no
+    /// arc has changed since, searched for otherwise.
+    fn cut_side(&self, s: usize, side: &mut [bool], queue: &mut Vec<usize>) {
+        if self.reach_of == Some(s) {
+            for (m, &l) in side.iter_mut().zip(&self.level) {
+                *m = l >= 0;
+            }
+            return;
+        }
         queue.clear();
         side[s] = true;
         queue.push(s);
@@ -213,11 +240,11 @@ impl FlowNetwork {
         while head < queue.len() {
             let u = queue[head];
             head += 1;
-            for &ei in &self.adj[u] {
-                let e = &self.edges[ei];
-                if e.cap > EPS && !side[e.to] {
-                    side[e.to] = true;
-                    queue.push(e.to);
+            for &e in &self.adj[u] {
+                let v = self.to[e as usize] as usize;
+                if self.cap[e as usize] > EPS && !side[v] {
+                    side[v] = true;
+                    queue.push(v);
                 }
             }
         }
@@ -227,6 +254,137 @@ impl FlowNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The Dinic this module ran before its arcs went flat and its BFS
+    /// stopped at the sink: adjacency lists of `usize` indices into one
+    /// `Vec` of arc structs, a full BFS per phase and a fresh search for
+    /// every cut. Kept as the oracle [`FlowNetwork`] must match bit for bit.
+    struct Reference {
+        adj: Vec<Vec<usize>>,
+        edges: Vec<FlowEdge>,
+        level: Vec<i32>,
+        iter: Vec<usize>,
+    }
+
+    #[derive(Clone, Debug)]
+    struct FlowEdge {
+        to: usize,
+        cap: f64,
+        cap0: f64,
+        rev: usize,
+    }
+
+    impl Reference {
+        fn new(n: usize) -> Self {
+            Reference {
+                adj: vec![Vec::new(); n],
+                edges: Vec::new(),
+                level: vec![0; n],
+                iter: vec![0; n],
+            }
+        }
+
+        fn add_edge(&mut self, u: usize, v: usize, cap: f64, back: f64) -> usize {
+            let e1 = self.edges.len();
+            self.edges.push(FlowEdge { to: v, cap, cap0: cap, rev: e1 + 1 });
+            self.edges.push(FlowEdge { to: u, cap: back, cap0: back, rev: e1 });
+            self.adj[u].push(e1);
+            self.adj[v].push(e1 + 1);
+            e1
+        }
+
+        fn set_cap(&mut self, id: usize, cap: f64) {
+            self.edges[id].cap = cap;
+        }
+
+        fn reset(&mut self) {
+            for e in &mut self.edges {
+                e.cap = e.cap0;
+            }
+        }
+
+        fn keep_flow(&mut self) {
+            for e in &mut self.edges {
+                e.cap0 = e.cap;
+            }
+        }
+
+        fn bfs(&mut self, s: usize, t: usize) -> bool {
+            self.level.fill(-1);
+            let mut queue = vec![s];
+            self.level[s] = 0;
+            let mut head = 0;
+            while head < queue.len() {
+                let u = queue[head];
+                head += 1;
+                for &ei in &self.adj[u] {
+                    let e = &self.edges[ei];
+                    if e.cap > EPS && self.level[e.to] < 0 {
+                        self.level[e.to] = self.level[u] + 1;
+                        queue.push(e.to);
+                    }
+                }
+            }
+            self.level[t] >= 0
+        }
+
+        fn dfs(&mut self, u: usize, t: usize, pushed: f64) -> f64 {
+            if u == t {
+                return pushed;
+            }
+            while self.iter[u] < self.adj[u].len() {
+                let ei = self.adj[u][self.iter[u]];
+                let (to, cap, rev) = {
+                    let e = &self.edges[ei];
+                    (e.to, e.cap, e.rev)
+                };
+                if cap > EPS && self.level[to] == self.level[u] + 1 {
+                    let d = self.dfs(to, t, pushed.min(cap));
+                    if d > EPS {
+                        self.edges[ei].cap -= d;
+                        self.edges[rev].cap += d;
+                        return d;
+                    }
+                }
+                self.iter[u] += 1;
+            }
+            0.0
+        }
+
+        fn max_flow(&mut self, s: usize, t: usize) -> f64 {
+            let mut flow = 0.0;
+            while self.bfs(s, t) {
+                self.iter.fill(0);
+                loop {
+                    let f = self.dfs(s, t, f64::INFINITY);
+                    if f <= EPS {
+                        break;
+                    }
+                    flow += f;
+                }
+            }
+            flow
+        }
+
+        fn min_cut_source_side(&self, s: usize) -> Vec<bool> {
+            let mut side = vec![false; self.adj.len()];
+            let mut queue = vec![s];
+            side[s] = true;
+            let mut head = 0;
+            while head < queue.len() {
+                let u = queue[head];
+                head += 1;
+                for &ei in &self.adj[u] {
+                    let e = &self.edges[ei];
+                    if e.cap > EPS && !side[e.to] {
+                        side[e.to] = true;
+                        queue.push(e.to);
+                    }
+                }
+            }
+            side
+        }
+    }
 
     #[test]
     fn classic_diamond() {
@@ -371,6 +529,55 @@ mod tests {
     }
 
     #[test]
+    fn arc_changes_after_a_max_flow_search_the_cut_again() {
+        // 0 →(2) 1 →(1) 2 saturates at 1 with source side {0, 1}; each
+        // change below opens a path to 2, so a cut read from the levels of
+        // that max flow would be stale.
+        let build = || {
+            let mut f = FlowNetwork::new(3);
+            f.add_edge(0, 1, 2.0);
+            let narrow = f.add_edge(1, 2, 1.0);
+            assert_eq!(f.max_flow(0, 2), 1.0);
+            assert_eq!(f.reach_of, Some(0), "the cut is read from the last BFS");
+            assert_eq!(f.min_cut_source_side(0), vec![true, true, false]);
+            (f, narrow)
+        };
+        let open = vec![true, true, true];
+        let mut buf = Vec::new();
+
+        let (mut f, narrow) = build();
+        f.set_cap(narrow, 5.0);
+        assert_eq!(f.min_cut_source_side(0), open, "set_cap");
+        f.min_cut_source_side_into(0, &mut buf);
+        assert_eq!(buf, open, "set_cap");
+
+        let (mut f, _) = build();
+        f.reset();
+        assert_eq!(f.min_cut_source_side(0), open, "reset");
+        f.min_cut_source_side_into(0, &mut buf);
+        assert_eq!(buf, open, "reset");
+
+        let (mut f, _) = build();
+        f.add_edge(0, 2, 1.0);
+        assert_eq!(f.min_cut_source_side(0), open, "add_edge");
+        f.min_cut_source_side_into(0, &mut buf);
+        assert_eq!(buf, open, "add_edge");
+
+        let (mut f, _) = build();
+        f.add_undirected_edge(2, 1, 1.0);
+        assert_eq!(f.min_cut_source_side(0), open, "add_undirected_edge");
+
+        // Keeping the flow changes no residual: the levels stay valid.
+        let (mut f, _) = build();
+        f.keep_flow();
+        assert_eq!(f.reach_of, Some(0));
+        assert_eq!(f.min_cut_source_side(0), vec![true, true, false]);
+        // A cut from another source is searched for: 2 reaches 1 and 0
+        // back along the flow.
+        assert_eq!(f.min_cut_source_side(2), open);
+    }
+
+    #[test]
     #[should_panic(expected = "source and sink must differ")]
     fn same_source_sink_panics() {
         let mut f = FlowNetwork::new(2);
@@ -481,6 +688,79 @@ mod tests {
                 let want = fresh.max_flow(0, n - 1);
                 prop_assert_eq!(base + extra, want);
                 prop_assert_eq!(warm.min_cut_source_side(0), fresh.min_cut_source_side(0));
+            }
+
+            /// Flat arcs, the BFS that stops at the sink and the cut read
+            /// from the last BFS change no flow: through set-ups with arcs
+            /// declared at 0 and raised later, kept flows and resets, every
+            /// query returns the reference's flow, every arc's residual and
+            /// the reference's cut side, bit for bit. Capacities are
+            /// integers or dyadic fractions.
+            #[test]
+            fn flat_dinic_matches_the_reference_bit_for_bit(
+                n in 2usize..=8,
+                arcs in proptest::collection::vec(
+                    (0usize..8, 0usize..8, 0u32..48, (0usize..3, 0u8..3)), 1..20),
+                zero_arcs in proptest::collection::vec((0usize..8, 0usize..8), 0..5),
+                script in proptest::collection::vec(
+                    (0u8..4, 0usize..8, (0usize..8, 0usize..8), 0u32..48), 1..16),
+            ) {
+                let scales = [1.0, 4.0, 1024.0];
+                let mut flat = FlowNetwork::new(n);
+                let mut reference = Reference::new(n);
+                for &(u, v, c, (scale, kind)) in &arcs {
+                    let (u, v) = (u % n, v % n);
+                    let cap = c as f64 / scales[scale];
+                    let (id, want) = if kind == 0 {
+                        (flat.add_undirected_edge(u, v, cap), reference.add_edge(u, v, cap, cap))
+                    } else {
+                        (flat.add_edge(u, v, cap), reference.add_edge(u, v, cap, 0.0))
+                    };
+                    prop_assert_eq!(id, want);
+                }
+                let raisable: Vec<usize> = zero_arcs
+                    .iter()
+                    .map(|&(u, v)| {
+                        let (u, v) = (u % n, v % n);
+                        let id = flat.add_edge(u, v, 0.0);
+                        prop_assert_eq!(id, reference.add_edge(u, v, 0.0, 0.0));
+                        Ok(id)
+                    })
+                    .collect::<Result<_, TestCaseError>>()?;
+                let mut side = Vec::new();
+                for &(op, pick, (s, t), c) in &script {
+                    match op {
+                        0 if !raisable.is_empty() => {
+                            let id = raisable[pick % raisable.len()];
+                            let cap = if c == 0 { f64::INFINITY } else { c as f64 / 4.0 };
+                            flat.set_cap(id, cap);
+                            reference.set_cap(id, cap);
+                        }
+                        1 => {
+                            flat.keep_flow();
+                            reference.keep_flow();
+                        }
+                        2 => {
+                            flat.reset();
+                            reference.reset();
+                        }
+                        _ => {}
+                    }
+                    let (s, t) = (s % n, t % n);
+                    if s == t {
+                        continue;
+                    }
+                    let got = flat.max_flow(s, t);
+                    let want = reference.max_flow(s, t);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "flow {} vs {}", got, want);
+                    for (e, arc) in reference.edges.iter().enumerate() {
+                        prop_assert_eq!(flat.cap[e].to_bits(), arc.cap.to_bits(), "arc {}", e);
+                    }
+                    let cut = reference.min_cut_source_side(s);
+                    flat.min_cut_source_side_into(s, &mut side);
+                    prop_assert_eq!(&side, &cut);
+                    prop_assert_eq!(flat.min_cut_source_side(s), cut);
+                }
             }
         }
     }

@@ -39,6 +39,15 @@
 //! * A mutation can leave the basis primal-infeasible but never
 //!   dual-infeasible, so [`IncrementalLp::solve`] repairs with the
 //!   **bounded-variable dual simplex** and then runs a primal cleanup pass.
+//! * Each column carries a **pricing direction** `dir`: −1 when it may
+//!   enter from its lower bound, +1 from its upper bound, 0 when it may
+//!   not enter (basic, artificial or fixed). It is reset wherever a
+//!   column's basis position, bound status or upper bound changes, so
+//!   Dantzig pricing reads one array (violation `dir·d_j`) and the dual
+//!   ratio test checks eligibility as `dir·α·want > 0`. The reduced-cost
+//!   update along the pivot row is branch-free while `d_j` and `1/α` are
+//!   finite: an entry below the drop tolerance subtracts a zero, which can
+//!   change only the sign of a zero reduced cost.
 //! * The kernel rows are rebuilt from the basis heading every
 //!   `REFACTOR_EVERY` basis changes, and whenever the residual of `B·x_B`
 //!   against `b − N·x_N` at a solve's entry says they have drifted.
@@ -238,6 +247,11 @@ pub struct IncrementalLp {
     at_upper: Vec<bool>,
     /// Basis position of each column, [`NONBASIC`] when it is not basic.
     pos: Vec<usize>,
+    /// Pricing direction of each column ([`IncrementalLp::dir_of`]): −1
+    /// for an enterable column at its lower bound, +1 at its upper bound,
+    /// 0 for every other column. Reset wherever `pos`, `at_upper` or
+    /// `upper` change, so pricing and the dual ratio test read one array.
+    dir: Vec<f64>,
     /// `A` by columns, over row indices, sign-normalized like the rows.
     acols: Vec<SpRow>,
     /// Shifted, sign-normalized right-hand side per row.
@@ -385,6 +399,7 @@ impl IncrementalLp {
         // B⁻¹ is implied and the stored rows do not change; its value is
         // set by the next solve's refresh.
         self.pos[slack] = self.basis.len();
+        self.set_dir(slack);
         self.binv.push(SpRow::default());
         self.xb.push(0.0);
         self.basis.push(slack);
@@ -421,6 +436,7 @@ impl IncrementalLp {
         if self.pos[j] == NONBASIC && self.at_upper[j] && !(shifted > TOL && shifted.is_finite()) {
             self.at_upper[j] = false;
         }
+        self.set_dir(j);
     }
 
     /// Relaxes the right-hand side of `≤` row `row` to `new_rhs`
@@ -621,13 +637,16 @@ impl IncrementalLp {
         self.upper.push(upper);
         self.at_upper.push(false);
         self.pos.push(NONBASIC);
+        self.dir.push(0.0);
         self.drow.push(0.0);
         self.acols.push(SpRow::default());
         self.home_of.push(NONBASIC);
         if kind == ColKind::Structural {
             self.prow.push(0.0);
         }
-        self.kind.len() - 1
+        let j = self.kind.len() - 1;
+        self.set_dir(j);
+        j
     }
 
     /// The right-hand side of the model's row `k`, shifted by the
@@ -681,6 +700,28 @@ impl IncrementalLp {
     /// Columns the pricing loops may enter: nonbasic, movable, real.
     fn enterable(&self, j: usize) -> bool {
         self.pos[j] == NONBASIC && self.kind[j] != ColKind::Artificial && self.upper[j] > TOL
+    }
+
+    /// The pricing direction column `j` should have: the sign of the move
+    /// that takes it into the basis negated, so `dir·d_j` is its
+    /// optimality violation — −1 at its lower bound, +1 at its upper
+    /// bound, 0 when it may not enter. An artificial's is always 0.
+    fn dir_of(&self, j: usize) -> f64 {
+        match (self.enterable(j), self.at_upper[j]) {
+            (false, _) => 0.0,
+            (true, false) => -1.0,
+            (true, true) => 1.0,
+        }
+    }
+
+    /// Resets `dir[j]` after `pos[j]`, `at_upper[j]` or `upper[j]` changed.
+    fn set_dir(&mut self, j: usize) {
+        self.dir[j] = self.dir_of(j);
+    }
+
+    /// True when every pricing direction matches [`IncrementalLp::dir_of`].
+    fn dirs_are_current(&self) -> bool {
+        (0..self.dir.len()).all(|j| self.dir[j].to_bits() == self.dir_of(j).to_bits())
     }
 
     /// Current value of a column in shifted coordinates.
@@ -983,6 +1024,7 @@ impl IncrementalLp {
         self.upper.clear();
         self.at_upper.clear();
         self.pos.clear();
+        self.dir.clear();
         self.drow.clear();
         self.acols.clear();
         self.prow.clear();
@@ -1036,6 +1078,7 @@ impl IncrementalLp {
                 artificials.push(basic);
             }
             self.pos[basic] = self.basis.len();
+            self.set_dir(basic);
             self.binv.push(if self.home_of[basic] == NONBASIC {
                 SpRow::unit(k, 1.0)
             } else {
@@ -1238,24 +1281,22 @@ impl IncrementalLp {
             // Entering column: the dual ratio test over the pivot row,
             // scanning columns in ascending order; ties keep the lower.
             self.load_row(r);
+            debug_assert!(self.dirs_are_current(), "stale pricing direction");
             let mut enter: Option<(usize, f64, f64)> = None; // (col, |theta|, alpha)
             let nvars = self.prow.len();
             let aux = std::mem::take(&mut self.prow_aux);
             let row = (0..nvars).map(|c| (c, self.prow[c])).chain(aux.iter().copied());
+            // The basic value must decrease (to its upper bound) or increase.
+            let want = if to_upper { -1.0 } else { 1.0 };
             for (c, alpha) in row {
-                if alpha.abs() <= TOL || !self.enterable(c) {
-                    continue;
-                }
                 // Eligibility: moving c within its box must push the basic
-                // value back toward its violated bound.
-                let pushes = if to_upper {
-                    // basic must decrease
-                    (!self.at_upper[c] && alpha > 0.0) || (self.at_upper[c] && alpha < 0.0)
-                } else {
-                    // basic must increase
-                    (!self.at_upper[c] && alpha < 0.0) || (self.at_upper[c] && alpha > 0.0)
-                };
-                if !pushes {
+                // value back toward its violated bound, `dir·α·want > 0`,
+                // with `|α| > TOL`. The product is `|α|` when c is eligible,
+                // and ≤ 0 or NaN, which fails the test, when it is not.
+                let eligible = self.dir[c] * alpha * want > TOL;
+                #[cfg(test)]
+                assert_eq!(eligible, self.eligible_reference(c, alpha, to_upper), "column {c}");
+                if !eligible {
                     continue;
                 }
                 let theta = (self.drow[c] / alpha).abs();
@@ -1312,6 +1353,8 @@ impl IncrementalLp {
         self.pivot(r, j);
         self.at_upper[leaving] = to_upper && self.upper[leaving].is_finite();
         self.at_upper[j] = false;
+        self.set_dir(leaving);
+        self.set_dir(j);
     }
 
     /// Pivot at `(r, j)`: updates the reduced costs along the loaded pivot
@@ -1322,7 +1365,20 @@ impl IncrementalLp {
         debug_assert!(piv.abs() > TOL, "pivot element too small: {piv}");
         let inv = 1.0 / piv;
         let df = self.drow[j];
-        if df != 0.0 {
+        if df != 0.0 && df.is_finite() && inv.is_finite() {
+            // Branch-free: an entry under DROP_TOL counts as 0 and
+            // subtracts `df·(0·inv)`, a zero, which can change only the sign
+            // of a zero reduced cost — a sign no pricing, ratio or sentinel
+            // rule reads. Every other entry gets the same bits as below.
+            let kept = |v: f64| if v.abs() > DROP_TOL { v } else { 0.0 };
+            for (d, &v) in self.drow.iter_mut().zip(&self.prow) {
+                *d -= df * (kept(v) * inv);
+            }
+            for &(c, v) in &self.prow_aux {
+                self.drow[c] -= df * (kept(v) * inv);
+            }
+        } else if df != 0.0 {
+            // A non-finite factor would turn the masked zeros into NaN.
             for (d, &v) in self.drow.iter_mut().zip(&self.prow) {
                 if v.abs() > DROP_TOL {
                     *d -= df * (v * inv);
@@ -1405,11 +1461,36 @@ impl IncrementalLp {
         }
     }
 
-    /// Dantzig pricing (Bland after prolonged degeneracy) over enterable
-    /// columns; exact ties keep the lower column. Near-ties are left to
-    /// rounding on purpose: widening them to `TIE_TOL` moves DFL-16's
-    /// recorded cut trajectory from 2 rounds to 3 (same tree).
+    /// Dantzig pricing (Bland after prolonged degeneracy): the first
+    /// column with the largest violation `dir·d_j` above `DJ_TOL`, so exact
+    /// ties keep the lower column. A column that may not enter has
+    /// direction 0 and violation 0, or NaN, which never wins. Near-ties are
+    /// left to rounding on purpose: widening them to `TIE_TOL` moves
+    /// DFL-16's recorded cut trajectory from 2 rounds to 3 (same tree).
     fn price(&self) -> Option<usize> {
+        debug_assert!(self.dirs_are_current(), "stale pricing direction");
+        let mut violations = self.dir.iter().zip(&self.drow).map(|(&s, &d)| s * d);
+        let pick = if self.bland {
+            violations.position(|v| v > DJ_TOL)
+        } else {
+            let (mut best, mut top) = (None, DJ_TOL);
+            for (j, v) in violations.enumerate() {
+                if v > top {
+                    (best, top) = (Some(j), v);
+                }
+            }
+            best
+        };
+        #[cfg(test)]
+        assert_eq!(pick, self.price_reference(), "pricing picks what the reference picks");
+        pick
+    }
+
+    /// The pricing rule before pricing directions, kept as the oracle for
+    /// [`IncrementalLp::price`]: the same scan over enterable columns,
+    /// deriving each column's violation from its bound status.
+    #[cfg(test)]
+    fn price_reference(&self) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for j in 0..self.kind.len() {
             if !self.enterable(j) {
@@ -1428,6 +1509,23 @@ impl IncrementalLp {
             }
         }
         best.map(|(j, _)| j)
+    }
+
+    /// The dual ratio test's eligibility rule before pricing directions,
+    /// kept as the oracle for the `dir·α·want` test in
+    /// [`IncrementalLp::dual_repair`].
+    #[cfg(test)]
+    fn eligible_reference(&self, c: usize, alpha: f64, to_upper: bool) -> bool {
+        if alpha.abs() <= TOL || !self.enterable(c) {
+            return false;
+        }
+        if to_upper {
+            // basic must decrease
+            (!self.at_upper[c] && alpha > 0.0) || (self.at_upper[c] && alpha < 0.0)
+        } else {
+            // basic must increase
+            (!self.at_upper[c] && alpha < 0.0) || (self.at_upper[c] && alpha > 0.0)
+        }
     }
 
     /// One primal iteration entering `j`. Returns `false` on an unbounded
@@ -1485,6 +1583,7 @@ impl IncrementalLp {
                     }
                 }
                 self.at_upper[j] = !self.at_upper[j];
+                self.set_dir(j);
                 self.pivots_total += 1;
             }
             Some((r, exits_upper)) => {

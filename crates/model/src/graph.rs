@@ -151,7 +151,9 @@ pub struct NetworkBuilder {
     n: usize,
     links: Vec<Link>,
     energy: Vec<f64>,
-    seen: std::collections::HashSet<(NodeId, NodeId)>,
+    /// The network's adjacency, grown as links arrive: each link appends
+    /// `(edge, v)` to `u`'s list, then `(edge, u)` to `v`'s.
+    adj: Vec<Vec<(EdgeId, NodeId)>>,
 }
 
 impl NetworkBuilder {
@@ -162,7 +164,7 @@ impl NetworkBuilder {
             n,
             links: Vec::new(),
             energy: vec![crate::energy::DEFAULT_INITIAL_ENERGY_J; n],
-            seen: std::collections::HashSet::new(),
+            adj: vec![Vec::new(); n],
         }
     }
 
@@ -194,9 +196,15 @@ impl NetworkBuilder {
             let node = if u.index() >= self.n { u } else { v };
             return Err(ModelError::NodeOutOfRange { node, n: self.n });
         }
-        if !self.seen.insert((u, v)) {
+        // A duplicate lists the other endpoint on both lists: scan the shorter.
+        let (scan, other) =
+            if self.adj[u.index()].len() <= self.adj[v.index()].len() { (u, v) } else { (v, u) };
+        if self.adj[scan.index()].iter().any(|&(_, nb)| nb == other) {
             return Err(ModelError::DuplicateEdge(u, v));
         }
+        let e = EdgeId(self.links.len() as u32);
+        self.adj[u.index()].push((e, v));
+        self.adj[v.index()].push((e, u));
         self.links.push(link);
         Ok(self)
     }
@@ -212,12 +220,7 @@ impl NetworkBuilder {
         if self.n == 0 {
             return Err(ModelError::Empty);
         }
-        let mut adj: Vec<Vec<(EdgeId, NodeId)>> = vec![Vec::new(); self.n];
-        for (i, l) in self.links.iter().enumerate() {
-            let e = EdgeId(i as u32);
-            adj[l.u().index()].push((e, l.v()));
-            adj[l.v().index()].push((e, l.u()));
-        }
+        let adj = self.adj;
         // BFS connectivity check from node 0.
         let mut visited = vec![false; self.n];
         let mut queue = std::collections::VecDeque::new();
@@ -275,6 +278,25 @@ mod tests {
         let mut b = NetworkBuilder::new(3);
         b.add_edge(0, 1, 0.9).unwrap();
         assert!(matches!(b.add_edge(1, 0, 0.8), Err(ModelError::DuplicateEdge(_, _))));
+    }
+
+    #[test]
+    fn rejects_a_duplicate_arriving_on_the_higher_degree_endpoint() {
+        // Node 1 is a hub of degree 4; the duplicate is found on the other
+        // endpoint's shorter list whether the hub is the link's smaller
+        // endpoint or its larger, and is named in endpoint order.
+        let mut b = NetworkBuilder::new(5);
+        for v in [0, 2, 3, 4] {
+            b.add_edge(1, v, 0.9).unwrap();
+        }
+        for (a, z) in [(1, 0), (0, 1), (1, 4), (4, 1)] {
+            let want = ModelError::DuplicateEdge(NodeId::new(a.min(z)), NodeId::new(a.max(z)));
+            assert_eq!(b.add_edge(a, z, 0.8).unwrap_err(), want);
+        }
+        // A rejected link leaves no trace: the hub keeps degree 4.
+        let g = b.build().unwrap();
+        assert_eq!(g.degree(NodeId::new(1)), 4);
+        assert_eq!(g.num_edges(), 4);
     }
 
     #[test]

@@ -44,10 +44,10 @@
 //!   not enter (basic, artificial or fixed). It is reset wherever a
 //!   column's basis position, bound status or upper bound changes, so
 //!   Dantzig pricing reads one array (violation `dir·d_j`) and the dual
-//!   ratio test checks eligibility as `dir·α·want > 0`. The reduced-cost
-//!   update along the pivot row is branch-free while `d_j` and `1/α` are
-//!   finite: an entry below the drop tolerance subtracts a zero, which can
-//!   change only the sign of a zero reduced cost.
+//!   ratio test checks eligibility as `dir·α·want > TOL`. The reduced-cost
+//!   update along the pivot row is branch-free: an entry below the drop
+//!   tolerance subtracts `+0.0`, which leaves every reduced cost's bits
+//!   as they were.
 //! * The kernel rows are rebuilt from the basis heading every
 //!   `REFACTOR_EVERY` basis changes, and whenever the residual of `B·x_B`
 //!   against `b − N·x_N` at a solve's entry says they have drifted.
@@ -1290,9 +1290,9 @@ impl IncrementalLp {
             let want = if to_upper { -1.0 } else { 1.0 };
             for (c, alpha) in row {
                 // Eligibility: moving c within its box must push the basic
-                // value back toward its violated bound, `dir·α·want > 0`,
-                // with `|α| > TOL`. The product is `|α|` when c is eligible,
-                // and ≤ 0 or NaN, which fails the test, when it is not.
+                // value back toward its violated bound by `|α| > TOL`,
+                // `dir·α·want > TOL`. The product is `|α|` when c may move
+                // that way, and ≤ 0 or NaN, which fails the test, when not.
                 let eligible = self.dir[c] * alpha * want > TOL;
                 #[cfg(test)]
                 assert_eq!(eligible, self.eligible_reference(c, alpha, to_upper), "column {c}");
@@ -1365,29 +1365,15 @@ impl IncrementalLp {
         debug_assert!(piv.abs() > TOL, "pivot element too small: {piv}");
         let inv = 1.0 / piv;
         let df = self.drow[j];
-        if df != 0.0 && df.is_finite() && inv.is_finite() {
-            // Branch-free: an entry under DROP_TOL counts as 0 and
-            // subtracts `df·(0·inv)`, a zero, which can change only the sign
-            // of a zero reduced cost — a sign no pricing, ratio or sentinel
-            // rule reads. Every other entry gets the same bits as below.
-            let kept = |v: f64| if v.abs() > DROP_TOL { v } else { 0.0 };
+        if df != 0.0 {
+            // Branch-free: an entry under DROP_TOL subtracts `+0.0`, which
+            // leaves any value, −0, ±inf and NaN included, as it was.
+            let step = |v: f64| if v.abs() > DROP_TOL { df * (v * inv) } else { 0.0 };
             for (d, &v) in self.drow.iter_mut().zip(&self.prow) {
-                *d -= df * (kept(v) * inv);
+                *d -= step(v);
             }
             for &(c, v) in &self.prow_aux {
-                self.drow[c] -= df * (kept(v) * inv);
-            }
-        } else if df != 0.0 {
-            // A non-finite factor would turn the masked zeros into NaN.
-            for (d, &v) in self.drow.iter_mut().zip(&self.prow) {
-                if v.abs() > DROP_TOL {
-                    *d -= df * (v * inv);
-                }
-            }
-            for &(c, v) in &self.prow_aux {
-                if v.abs() > DROP_TOL {
-                    self.drow[c] -= df * (v * inv);
-                }
+                self.drow[c] -= step(v);
             }
         }
         self.clear_row();
